@@ -13,7 +13,6 @@ from .exact_linalg import (
     SmithDecomposition,
     cokernel,
     fg_direct_sum,
-    fg_group_isomorphic,
     hermite_normal_form,
     invariant_factors,
     kernel_basis,
@@ -62,7 +61,6 @@ __all__ = [
     "invariant_factors",
     "kernel_basis",
     "cokernel",
-    "fg_group_isomorphic",
     "fg_direct_sum",
     "Spin",
     "IrrepSum",

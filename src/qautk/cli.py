@@ -19,32 +19,15 @@ from fractions import Fraction
 
 from . import __version__
 from .dims import DimVector, random_dim_vectors
-from .exact_linalg import (
-    FgAbelianGroup,
-    IntMatrix,
-    MatrixFormatError,
-    smith_normal_form,
-)
-from .findim import (
-    AlgState,
-    ComplexRational,
-    FinDimAlgebra,
-    NonFaithfulStateError,
-    StateFormatError,
-    is_delta_form,
-)
+from .exact_linalg import FgAbelianGroup, IntMatrix, smith_normal_form
+from .findim import AlgState, ComplexRational, FinDimAlgebra, is_delta_form
 from .ktheory import closed_form, k_theory, verify_theorem
 from .magic import generator_rank_report
 from .resolution import TEST_ALGEBRA, TEST_OBJECTS, TEST_TRIVIAL, check_exactness
 from .torsion import (
     Cocycle,
-    CocycleError,
     FiniteGroup,
     GradedAlgebra,
-    GradedAlgebraError,
-    GroupTableError,
-    NonErgodicError,
-    TorsionExtractionError,
     block_decomposition,
     extract_torsion_data,
     regular_class_count,
@@ -168,19 +151,12 @@ def _read_json(path: str):
         raise InputError(f"malformed JSON in {path}: {exc}") from None
 
 
-def _parse_dims(text: str) -> DimVector:
-    try:
-        return DimVector.parse(text)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns (results, warnings, exit_code)
 # ---------------------------------------------------------------------------
 
 def _cmd_ktheory(args):
-    dims = _parse_dims(args.dims)
+    dims = DimVector.parse(args.dims)
     result = k_theory(dims)
     results = {
         "K0": result.k0,
@@ -194,7 +170,7 @@ def _cmd_ktheory(args):
 
 
 def _cmd_closed_form(args):
-    dims = _parse_dims(args.dims)
+    dims = DimVector.parse(args.dims)
     k0, k1 = closed_form(dims)
     warn = dims.scope_warning()
     results = {
@@ -208,7 +184,7 @@ def _cmd_closed_form(args):
 
 
 def _cmd_verify(args):
-    dims = _parse_dims(args.dims)
+    dims = DimVector.parse(args.dims)
     result = k_theory(dims)
     expected_k0, expected_k1 = closed_form(dims)
     match = result.k0 == expected_k0 and result.k1 == expected_k1
@@ -230,14 +206,14 @@ def _cmd_verify(args):
 
 
 def _cmd_boundary(args):
-    dims = _parse_dims(args.dims)
+    dims = DimVector.parse(args.dims)
     matrix = k_theory(dims).boundary
     results = {"matrix": matrix, "text": matrix.to_text()}
     return results, [], 0
 
 
 def _cmd_resolution_check(args):
-    dims = _parse_dims(args.dims)
+    dims = DimVector.parse(args.dims)
     tests = TEST_OBJECTS if args.test == "both" else (args.test,)
     results = {}
     warnings: list[str] = []
@@ -260,10 +236,7 @@ def _cmd_resolution_check(args):
 
 
 def _cmd_snf(args):
-    try:
-        matrix = IntMatrix.from_text(_read_source(args.matrix))
-    except MatrixFormatError as exc:
-        raise InputError(str(exc)) from None
+    matrix = IntMatrix.from_text(_read_source(args.matrix))
     dec = smith_normal_form(matrix)
     results = {
         "invariant_factors": list(dec.invariant_factors),
@@ -304,19 +277,14 @@ def _cmd_delta_form(args):
     data = _read_json(args.algebra)
     if not isinstance(data, dict) or "blocks" not in data or "density" not in data:
         raise InputError('delta-form input must be {"blocks": [...], "density": [...]}')
-    try:
-        blocks = [int(x) for x in data["blocks"]]
-        algebra = FinDimAlgebra.of(*blocks)
-        density = [
-            [[_parse_qc_entry(x) for x in row] for row in block]
-            for block in data["density"]
-        ]
-        state = AlgState(algebra, density)
-        outcome = is_delta_form(algebra, state)
-    except (StateFormatError, NonFaithfulStateError, ValueError) as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError(str(exc)) from None
+    blocks = [int(x) for x in data["blocks"]]
+    algebra = FinDimAlgebra.of(*blocks)
+    density = [
+        [[_parse_qc_entry(x) for x in row] for row in block]
+        for block in data["density"]
+    ]
+    state = AlgState(algebra, density)
+    outcome = is_delta_form(algebra, state)
     results = {
         "blocks": blocks,
         "is_delta_form": outcome.is_delta_form,
@@ -366,10 +334,7 @@ def _parse_group_spec(spec: str) -> FiniteGroup:
             for part in parts[1:]:
                 group = FiniteGroup.direct_product(group, _parse_group_name(part))
             return group
-    try:
-        return FiniteGroup.from_dict(_read_json(spec))
-    except GroupTableError as exc:
-        raise InputError(str(exc)) from None
+    return FiniteGroup.from_dict(_read_json(spec))
 
 
 def _parse_cocycle_spec(spec: str, group: FiniteGroup | None) -> tuple[FiniteGroup, Cocycle]:
@@ -392,10 +357,7 @@ def _parse_cocycle_spec(spec: str, group: FiniteGroup | None) -> tuple[FiniteGro
         if group is not None and group.table != cocycle.group.table:
             raise InputError(f"bilinear:{body} lives on C{a}xC{b}")
         return cocycle.group, cocycle
-    try:
-        cocycle = Cocycle.from_dict(_read_json(spec))
-    except CocycleError as exc:
-        raise InputError(str(exc)) from None
+    cocycle = Cocycle.from_dict(_read_json(spec))
     if group is not None and group.table != cocycle.group.table:
         raise InputError("cocycle file carries a different group than --group")
     return cocycle.group, cocycle
@@ -403,12 +365,9 @@ def _parse_cocycle_spec(spec: str, group: FiniteGroup | None) -> tuple[FiniteGro
 
 def _cmd_twisted_group(args):
     group = _parse_group_spec(args.group) if args.group else None
-    try:
-        group, cocycle = _parse_cocycle_spec(args.cocycle, group)
-        algebra = twisted_group_algebra(group, cocycle)
-        blocks = block_decomposition(algebra, seed=args.seed)
-    except (CocycleError, GradedAlgebraError) as exc:
-        raise InputError(str(exc)) from None
+    group, cocycle = _parse_cocycle_spec(args.cocycle, group)
+    algebra = twisted_group_algebra(group, cocycle)
+    blocks = block_decomposition(algebra)
     results = {
         "dim": algebra.dim,
         "regular_classes": regular_class_count(cocycle),
@@ -419,15 +378,9 @@ def _cmd_twisted_group(args):
 
 
 def _cmd_extract_torsion(args):
-    try:
-        algebra = GradedAlgebra.from_dict(_read_json(args.algebra))
-    except GradedAlgebraError as exc:
-        raise InputError(str(exc)) from None
-    try:
-        subgroup, cocycle = extract_torsion_data(algebra)
-        blocks = block_decomposition(algebra, seed=args.seed)
-    except (NonErgodicError, TorsionExtractionError) as exc:
-        raise InputError(str(exc)) from None
+    algebra = GradedAlgebra.from_dict(_read_json(args.algebra))
+    subgroup, cocycle = extract_torsion_data(algebra)
+    blocks = block_decomposition(algebra)
     results = {
         "group": subgroup.to_dict(),
         "cocycle_root_order": cocycle.root_order,
@@ -536,11 +489,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("twisted-group", _cmd_twisted_group, "build a twisted group algebra and decompose it")
     p.add_argument("--group", help="C<n>, S<n>, D<n>, Q8, products like C2xC2, or a JSON file")
     p.add_argument("--cocycle", required=True, help="trivial, pauli, bilinear:<a>x<b>, or a JSON file")
-    p.add_argument("--seed", type=int, default=0, help="seed for the spectral sampling")
 
     p = add("extract-torsion", _cmd_extract_torsion, "recover (subgroup, cocycle) from a graded algebra")
     p.add_argument("--algebra", required=True, help="path to graded-algebra JSON, or - for stdin")
-    p.add_argument("--seed", type=int, default=0)
 
     p = add("magic-rank", _cmd_magic_rank, "integer ranks of the generator families (exit 1 on mismatch)")
     p.add_argument("--n", type=int, required=True)
@@ -568,7 +519,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         results, warnings, code = args.handler(args)
-    except InputError as exc:
+    except ValueError as exc:  # InputError and every library input error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = RunReport(

@@ -205,6 +205,10 @@ class Cyclotomic:
     def __truediv__(self, other: "Cyclotomic") -> "Cyclotomic":
         return self * other.inverse()
 
+    def __rtruediv__(self, other) -> "Cyclotomic":
+        """A rational divided by self, e.g. ``1 / x``."""
+        return self.inverse().scale(other)
+
     def conjugate(self) -> "Cyclotomic":
         table = _power_table(self.order)
         deg = len(self.coeffs)
@@ -221,6 +225,9 @@ class Cyclotomic:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
+
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
 
     def as_rational(self) -> Fraction | None:
         if all(c == 0 for c in self.coeffs[1:]):

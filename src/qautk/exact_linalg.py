@@ -1,9 +1,10 @@
-"""Exact integer linear algebra.
+"""Exact linear algebra.
 
 Smith and Hermite normal forms with unimodular transformation matrices,
 integer kernels and cokernels, and finitely generated abelian groups in
-invariant-factor form.  Everything runs on Python's arbitrary-precision
-integers; no operation can overflow.
+invariant-factor form, all on Python's arbitrary-precision integers, so no
+operation can overflow.  One Gauss-Jordan elimination serves every exact
+field the library uses: rationals, Gaussian rationals and cyclotomic fields.
 """
 
 from __future__ import annotations
@@ -500,9 +501,41 @@ class LatticeBasis:
         return not any(w)
 
 
-def column_lattice(A: IntMatrix) -> LatticeBasis:
-    """Lattice spanned by the columns of A, ambient ZZ^rows."""
-    return LatticeBasis(A.transpose())
+# ---------------------------------------------------------------------------
+# Elimination over an exact field
+# ---------------------------------------------------------------------------
+
+def _row_reduce(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form over an exact field, by Gauss-Jordan.
+
+    Entries are field elements supporting ``+``, ``-``, ``*``, ``1 / x`` and
+    truth as "nonzero": ``Fraction``, ``ComplexRational`` or ``Cyclotomic``.
+    Returns the reduced rows (a new list; the input is not modified) and the
+    pivot column of each nonzero row, so the rank is the number of pivots.
+    Kept private: it is a step inside the torsion, findim and resolution
+    layers, not a layer of its own (perfbench traces public functions only).
+    """
+    m = [list(row) for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -603,10 +636,6 @@ class FgAbelianGroup:
             parts.append(f"Z_{tor[i]}" + (f"^{mult}" if mult > 1 else ""))
             i = j
         return " + ".join(parts) if parts else "0"
-
-
-def fg_group_isomorphic(G: FgAbelianGroup, H: FgAbelianGroup) -> bool:
-    return G == H
 
 
 def fg_direct_sum(G: FgAbelianGroup, H: FgAbelianGroup) -> FgAbelianGroup:

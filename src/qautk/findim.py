@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .dims import DimVector
+from .exact_linalg import _row_reduce
 
 
 class NonFaithfulStateError(ValueError):
@@ -61,6 +62,9 @@ class ComplexRational:
             (self.im * other.re - self.re * other.im) / n2,
         )
 
+    def __rtruediv__(self, other):
+        return qc(other) / self
+
     def __neg__(self):
         return ComplexRational(-self.re, -self.im)
 
@@ -69,6 +73,9 @@ class ComplexRational:
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
+
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
 
     def is_real(self) -> bool:
         return self.im == 0
@@ -128,27 +135,6 @@ def qc_conj_transpose(a: QCMatrix) -> QCMatrix:
 def qc_is_hermitian(a: QCMatrix) -> bool:
     n = len(a)
     return all(a[i][j] == a[j][i].conjugate() for i in range(n) for j in range(n))
-
-
-def qc_inverse(a: QCMatrix) -> QCMatrix:
-    n = len(a)
-    work = [row[:] + ident[:] for row, ident in zip(a, qc_identity(n))]
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if not work[i][c].is_zero():
-                piv = i
-                break
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        work[c], work[piv] = work[piv], work[c]
-        inv = QC_ONE / work[c][c]
-        work[c] = [x * inv for x in work[c]]
-        for i in range(n):
-            if i != c and not work[i][c].is_zero():
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    return [row[n:] for row in work]
 
 
 def qc_char_coefficients(a: QCMatrix) -> list[Fraction]:
@@ -318,7 +304,10 @@ def mu_mu_star(algebra: FinDimAlgebra, state: AlgState) -> QCMatrix:
     labels, index = _basis_index_maps(algebra)
     dim = len(labels)
     gram = gns_gram(algebra, state)
-    gram_inv = qc_inverse(gram)
+    reduced, pivots = _row_reduce([row + ident for row, ident in zip(gram, qc_identity(dim))])
+    if pivots != list(range(dim)):
+        raise ZeroDivisionError("GNS Gram matrix is singular")
+    gram_inv = [row[dim:] for row in reduced]
     gram_inv_t = [[gram_inv[j][i] for j in range(dim)] for i in range(dim)]
 
     # product of basis units: e_ab e_cd = delta_bc e_ad within a block

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .dims import DimVector
-from .exact_linalg import IntMatrix, LatticeBasis, invariant_factors, kernel_basis
+from .exact_linalg import IntMatrix, LatticeBasis, invariant_factors, kernel_basis, _row_reduce
 from .repring import HALF_INTEGRAL, INTEGRAL
 
 TEST_TRIVIAL = "C"
@@ -184,41 +184,6 @@ def _slot_images(k: DimVector, test_object: str) -> tuple[tuple[tuple[int, ...],
     return images, n
 
 
-def _solve_unique_rational(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a linear system that must have exactly one solution."""
-    m = [row[:] + [b] for row, b in zip(rows, rhs)]
-    nrows = len(m)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, nrows):
-        if m[i][ncols]:
-            raise InconsistentComplexError("zero-composition constraints are inconsistent")
-    if len(pivots) != ncols:
-        raise InconsistentComplexError("t-action is not determined by the constraints")
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = m[i][ncols]
-    return sol
-
-
 def derive_t_action(k: DimVector, test_object: str):
     """The unique t-action on the evaluation target making d0 o d1 = 0.
 
@@ -230,8 +195,8 @@ def derive_t_action(k: DimVector, test_object: str):
     d1 = _d1_matrix(k, test_object)
     images, r = _slot_images(k, test_object)
     nrows, ncols = d1.shape
-    sys_rows: list[list[Fraction]] = []
-    sys_rhs: list[Fraction] = []
+    unknowns = r * r
+    system: list[list[Fraction]] = []  # augmented rows [T coefficients | rhs]
     for s in range(ncols):
         a = [0] * r
         b = [0] * r
@@ -249,14 +214,17 @@ def derive_t_action(k: DimVector, test_object: str):
         if any(b) or any(a):
             # a + T b = 0, one equation per target coordinate
             for i in range(r):
-                row = [Fraction(0)] * (r * r)
+                row = [Fraction(0)] * unknowns + [Fraction(-a[i])]
                 for j in range(r):
                     row[i * r + j] = Fraction(b[j])
-                sys_rows.append(row)
-                sys_rhs.append(Fraction(-a[i]))
-    sol = _solve_unique_rational(sys_rows, sys_rhs)
+                system.append(row)
+    reduced, pivots = _row_reduce(system)
+    if unknowns in pivots:
+        raise InconsistentComplexError("zero-composition constraints are inconsistent")
+    if len(pivots) != unknowns:
+        raise InconsistentComplexError("t-action is not determined by the constraints")
     entries = []
-    for x in sol:
+    for x in (row[unknowns] for row in reduced[:unknowns]):
         if x.denominator != 1:
             raise InconsistentComplexError(f"t-action entry {x} is not an integer")
         entries.append(int(x))

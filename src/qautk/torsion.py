@@ -5,21 +5,24 @@ ergodic components is, after normalizing the homogeneous basis to unitaries,
 a twisted group algebra of its support subgroup: the defect of the product
 against the group law is a normalized U(1)-valued 2-cocycle.  This module
 builds twisted group algebras from cocycle data, recovers (subgroup, cocycle)
-pairs from graded algebras, and computes Wedderburn block sizes, using exact
-cyclotomic arithmetic for everything except the final spectral clustering.
+pairs from graded algebras, and computes Wedderburn block sizes.
+
+The block sizes come from two trace forms on the center: Tr_A(L_xy) and
+Tr_Z(L_xy|_Z), which in the basis of central primitive idempotents read
+diag(m_i^2) and the identity.  Ranks of their combinations count the blocks
+of each size exactly, and every count is certified against the exact center
+dimension and the algebra dimension.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .cyclotomic import Cyclotomic
+from .exact_linalg import _row_reduce
 
 
 class GroupTableError(ValueError):
@@ -48,10 +51,6 @@ class NonSemisimpleError(ValueError):
     def __init__(self, message: str, witness):
         super().__init__(message)
         self.witness = witness
-
-
-class BlockDecompositionError(ValueError):
-    """Spectral clustering and the exact center dimension disagree."""
 
 
 # ---------------------------------------------------------------------------
@@ -742,52 +741,25 @@ def _left_mult_matrix(b: GradedAlgebra, i: int) -> list[list[Cyclotomic]]:
     return out
 
 
-def _field_rank_and_kernel(rows: list[list[Cyclotomic]], order: int):
-    """Gaussian elimination over Q(zeta_order); returns (rank, kernel basis)."""
-    if not rows:
-        return 0, []
-    ncols = len(rows[0])
-    m = [row[:] for row in rows]
-    nrows = len(m)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if not m[i][c].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    kernel = []
+def _kernel(rows: list[list[Cyclotomic]], ncols: int, order: int) -> list[tuple[int, SparseVec]]:
+    """Kernel basis read off the reduced rows, as (free column f, vector z)
+    pairs: each z is 1 at its own f and 0 at every other free column."""
+    reduced, pivots = _row_reduce(rows)
     one = Cyclotomic.one(order)
-    zero = Cyclotomic.zero(order)
-    for fc in free_cols:
-        vec = [zero] * ncols
-        vec[fc] = one
-        for rr, pc in enumerate(pivots):
-            vec[pc] = -m[rr][fc]
-        kernel.append(vec)
-    return len(pivots), kernel
+    basis = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        z = {f: one}
+        for row, p in zip(reduced, pivots):
+            if row[f]:
+                z[p] = -row[f]
+        basis.append((f, z))
+    return basis
 
 
-def center_dimension(b: GradedAlgebra) -> int:
-    """Exact dimension of the center, by solving xz = zx for all basis z."""
+def _center_basis(b: GradedAlgebra) -> list[tuple[int, SparseVec]]:
+    """Kernel basis of the commutation system xz = zx over all basis z."""
     n = b.dim
     rows: list[list[Cyclotomic]] = []
-    lefts = [_left_mult_matrix(b, i) for i in range(n)]
     # right multiplication by basis i, as a matrix acting on coefficient vectors
     zero = Cyclotomic.zero(b.root_order)
     for i in range(n):
@@ -795,113 +767,94 @@ def center_dimension(b: GradedAlgebra) -> int:
         for j in range(n):
             for z, c in b.mult[j][i]:
                 right[z][j] = right[z][j] + c
-        li = lefts[i]
+        li = _left_mult_matrix(b, i)
         for z in range(n):
             rows.append([li[z][j] - right[z][j] for j in range(n)])
-    _, kernel = _field_rank_and_kernel(rows, b.root_order)
-    return len(kernel)
+    return _kernel(rows, n, b.root_order)
 
 
-def _trace_form(b: GradedAlgebra):
-    n = b.dim
-    traces = []
-    for z in range(n):
-        tr = Cyclotomic.zero(b.root_order)
-        for j in range(n):
-            for w, c in b.mult[z][j]:
-                if w == j:
-                    tr = tr + c
-        traces.append(tr)
-    form = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            val = Cyclotomic.zero(b.root_order)
-            for z, c in b.mult[i][j]:
-                val = val + c * traces[z]
-            row.append(val)
-        form.append(row)
-    return form, traces
+def center_dimension(b: GradedAlgebra) -> int:
+    """Exact dimension of the center, by solving xz = zx for all basis z."""
+    return len(_center_basis(b))
 
 
-def block_decomposition(
-    b: GradedAlgebra,
-    tol: float = 1e-9,
-    seed: int = 0,
-    attempts: int = 12,
-) -> tuple[int, ...]:
-    """Wedderburn block sizes (m_1, ..., m_r), sorted ascending.
+def _left_traces(b: GradedAlgebra, basis: list[tuple[int, SparseVec]]) -> list[Cyclotomic]:
+    """theta[j] = sum over (f, z) in basis of the f-coordinate of e_j z.
 
-    Semisimplicity is certified exactly through the trace form; the block
-    multiset comes from clustering the spectrum of a random self-adjoint
-    element in the left regular representation and is accepted only when it
-    reproduces both the dimension and the exact center dimension.
+    For a basis in the form ``_kernel`` returns, the f-coordinate of an
+    element of the span is its coefficient on z, so theta(x) is the trace of
+    left multiplication by x on the span whenever x preserves it.
+    """
+    zero = Cyclotomic.zero(b.root_order)
+    theta = []
+    for j in range(b.dim):
+        acc = zero
+        for f, z in basis:
+            for i, x in z.items():
+                for w, c in b.mult[j][i]:
+                    if w == f:
+                        acc = acc + x * c
+        theta.append(acc)
+    return theta
+
+
+def _functional_gram(b: GradedAlgebra, theta: list[Cyclotomic]) -> list[list[Cyclotomic]]:
+    """The bilinear form (e_i, e_j) -> theta(e_i e_j) of a linear functional."""
+    zero = Cyclotomic.zero(b.root_order)
+    return [
+        [sum((c * theta[z] for z, c in cell), zero) for cell in row] for row in b.mult
+    ]
+
+
+def _restrict(form: list[list[Cyclotomic]], vecs: list[SparseVec], zero: Cyclotomic):
+    """Z^T F Z, for the matrix Z whose columns are the sparse vectors vecs."""
+
+    def dot(z: SparseVec, dense: list[Cyclotomic]) -> Cyclotomic:
+        return sum((y * dense[j] for j, y in z.items()), zero)
+
+    columns = [[dot(z, row) for row in form] for z in vecs]  # F z
+    return [[dot(za, col) for col in columns] for za in vecs]
+
+
+def block_decomposition(b: GradedAlgebra) -> tuple[int, ...]:
+    """Wedderburn block sizes (m_1, ..., m_r), sorted ascending, exactly.
+
+    Semisimplicity is certified by a nondegenerate trace form Tr_A(L_xy);
+    otherwise NonSemisimpleError carries a radical element as witness.  On a
+    basis z_1..z_r of the center Z, two forms are compared:
+    B_A[a][b] = Tr_A(L_{z_a z_b}) and B_Z[a][b] = Tr_Z(L_{z_a z_b}|_Z).  In
+    the basis of central primitive idempotents they are diag(m_i^2) and the
+    identity, so by congruence exactly r - rank(B_A - m^2 B_Z) blocks have
+    size m.  Every rank is taken over Q(zeta); no eigenvalue, prime or random
+    element is involved.  The counts are certified to sum to r and to give
+    sum m_i^2 = dim; a failure there is an internal error (RuntimeError).
     """
     n = b.dim
-    form, traces = _trace_form(b)
-    rank_, kernel = _field_rank_and_kernel(form, b.root_order)
-    if rank_ < n:
-        witness = {
-            b.basis_labels[i]: str(c)
-            for i, c in enumerate(kernel[0])
-            if not c.is_zero()
-        }
+    order = b.root_order
+    zero = Cyclotomic.zero(order)
+    one = Cyclotomic.one(order)
+    trace_form = _functional_gram(b, _left_traces(b, [(i, {i: one}) for i in range(n)]))
+    radical = _kernel(trace_form, n, order)
+    if radical:
+        _, witness = radical[0]
         raise NonSemisimpleError(
-            "trace form is degenerate: algebra is not semisimple", witness
+            "trace form is degenerate: algebra is not semisimple",
+            {b.basis_labels[i]: str(c) for i, c in sorted(witness.items())},
         )
-    r_exact = center_dimension(b)
-
-    lefts = [np.array([[complex(x) for x in row] for row in _left_mult_matrix(b, i)]) for i in range(n)]
-    star_mat = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for z, c in b.star[i]:
-            star_mat[z, i] += complex(c)
-    # orthonormalize the GNS space of the normalized trace
-    gram = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        star_i = b.star_vector(b.vec_of_basis(i))
-        for j in range(n):
-            val = Cyclotomic.zero(b.root_order)
-            for w, cw in star_i.items():
-                for z, cz in b.mult[w][j]:
-                    val = val + cw * cz * traces[z]
-            gram[i, j] = complex(val) / n
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        raise BlockDecompositionError(
-            "trace inner product is not positive definite: not a *-algebra presentation"
-        ) from None
-    chol_h = chol.conj().T
-    chol_h_inv = np.linalg.inv(chol_h)
-
-    rng = random.Random(seed)
-    for _ in range(attempts):
-        coeffs = np.array(
-            [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
+    center = _center_basis(b)
+    vecs = [z for _, z in center]
+    b_a = _restrict(trace_form, vecs, zero)
+    b_z = _restrict(_functional_gram(b, _left_traces(b, center)), vecs, zero)
+    r = len(center)
+    blocks: list[int] = []
+    for m in range(1, math.isqrt(n) + 1):
+        if len(blocks) == r:
+            break  # every larger size has count 0
+        diff = [[x - y.scale(m * m) for x, y in zip(ra, rz)] for ra, rz in zip(b_a, b_z)]
+        _, pivots = _row_reduce(diff)
+        blocks.extend([m] * (r - len(pivots)))
+    if len(blocks) != r or sum(m * m for m in blocks) != n:
+        raise RuntimeError(
+            f"block sizes {blocks} fail the certificate: center dimension {r}, dim {n}"
         )
-        h_coeffs = coeffs + star_mat @ coeffs.conj()
-        op = sum(h_coeffs[i] * lefts[i] for i in range(n))
-        herm = chol_h @ op @ chol_h_inv
-        eigs = np.linalg.eigvalsh(herm)
-        clusters = []
-        start = 0
-        for i in range(1, n):
-            if eigs[i] - eigs[i - 1] > tol:
-                clusters.append(i - start)
-                start = i
-        clusters.append(n - start)
-        histogram: dict[int, int] = {}
-        for size in clusters:
-            histogram[size] = histogram.get(size, 0) + 1
-        if any(cnt % size for size, cnt in histogram.items()):
-            continue
-        blocks = []
-        for size, cnt in histogram.items():
-            blocks.extend([size] * (cnt // size))
-        blocks.sort()
-        if sum(x * x for x in blocks) == n and len(blocks) == r_exact:
-            return tuple(blocks)
-    raise BlockDecompositionError(
-        f"spectral clustering did not stabilize against center dimension {r_exact}"
-    )
+    return tuple(blocks)

@@ -178,16 +178,12 @@ def test_criterion_6_delta_forms():
 
 def test_criterion_7_torsion_roundtrip():
     ok = block_decomposition(
-        twisted_group_algebra(FiniteGroup.klein_four(), Cocycle.pauli()), tol=1e-9
+        twisted_group_algebra(FiniteGroup.klein_four(), Cocycle.pauli())
     ) == (2,)
     c2 = FiniteGroup.cyclic(2)
     c3 = FiniteGroup.cyclic(3)
-    ok = ok and block_decomposition(
-        twisted_group_algebra(c2, Cocycle.trivial(c2)), tol=1e-9
-    ) == (1, 1)
-    ok = ok and block_decomposition(
-        twisted_group_algebra(c3, Cocycle.trivial(c3)), tol=1e-9
-    ) == (1, 1, 1)
+    ok = ok and block_decomposition(twisted_group_algebra(c2, Cocycle.trivial(c2))) == (1, 1)
+    ok = ok and block_decomposition(twisted_group_algebra(c3, Cocycle.trivial(c3))) == (1, 1, 1)
 
     groups = [
         FiniteGroup.cyclic(1),

@@ -1,6 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import qautk
 from qautk.cli import main
 
 
@@ -198,6 +205,29 @@ def test_sweep_skip_resolution(capsys):
 def test_bad_dims_exit_2(capsys):
     assert main(["ktheory", "--dims", "abc", "--json"]) == 2
     assert main(["ktheory", "--dims", "0,2", "--json"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["twisted-group", "--cocycle", "bilinear:0x2"],
+        ["resolution-check", "--dims", "2,3", "--degree", "1"],
+        ["magic-rank", "--n", "3", "--max-n", "0"],
+        ["sweep", "--max-n", "0", "--samples", "1"],
+    ],
+)
+def test_library_value_error_exits_2(capsys, argv):
+    assert main(argv + ["--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_cli_import_leaves_numpy_out():
+    env = dict(os.environ, PYTHONPATH=str(Path(qautk.__file__).resolve().parents[1]))
+    check = "import qautk.cli, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", check], env=env, check=True, timeout=60)
 
 
 def test_report_roundtrip_determinism(capsys):

@@ -7,11 +7,10 @@ import pytest
 from qautk.exact_linalg import (
     FgAbelianGroup,
     IntMatrix,
+    LatticeBasis,
     MatrixFormatError,
     cokernel,
-    column_lattice,
     fg_direct_sum,
-    fg_group_isomorphic,
     hermite_normal_form,
     invariant_factors,
     kernel_basis,
@@ -132,7 +131,7 @@ def test_empty_and_zero_matrices():
 
 def test_fg_group_arithmetic():
     z2_plus_z3 = FgAbelianGroup.from_parts(0, (2, 3))
-    assert fg_group_isomorphic(z2_plus_z3, FgAbelianGroup(0, (6,)))
+    assert z2_plus_z3 == FgAbelianGroup(0, (6,))
     g = FgAbelianGroup(2, (2, 4))
     assert fg_direct_sum(g, FgAbelianGroup.trivial()) == g
     assert FgAbelianGroup(2, (2, 2, 2)) != FgAbelianGroup(2, (2, 2))
@@ -230,7 +229,7 @@ def test_hermite_normal_form():
 
 def test_lattice_membership():
     a = IntMatrix.from_rows([[2, 0], [0, 3]])
-    lat = column_lattice(a)
+    lat = LatticeBasis(a.transpose())
     assert lat.contains((2, 3))
     assert lat.contains((4, 0))
     assert not lat.contains((1, 0))
@@ -239,7 +238,7 @@ def test_lattice_membership():
     rng = random.Random(3)
     for _ in range(40):
         gens = IntMatrix(3, 2, tuple(rng.randint(-4, 4) for _ in range(6)))
-        lat = column_lattice(gens)
+        lat = LatticeBasis(gens.transpose())
         for _ in range(10):
             x, y = rng.randint(-3, 3), rng.randint(-3, 3)
             v = gens.apply((x, y))

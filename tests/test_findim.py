@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qautk.exact_linalg import _row_reduce
 from qautk.findim import (
     AlgState,
     ComplexRational,
@@ -15,7 +16,7 @@ from qautk.findim import (
     mu_mu_star,
     qc,
     qc_conj_transpose,
-    qc_inverse,
+    qc_identity,
     qc_is_positive_definite,
     qc_is_positive_semidefinite,
     qc_matmul,
@@ -70,7 +71,10 @@ def test_mu_mu_star_matrix_block_oracle():
     alg = FinDimAlgebra.of(2)
     q = [[qc(Fraction(1, 2)), qc(Fraction(1, 8))], [qc(Fraction(1, 8)), qc(Fraction(1, 2))]]
     p = mu_mu_star(alg, AlgState(alg, [q]))
-    qi = qc_inverse(q)
+    reduced, pivots = _row_reduce([row + ident for row, ident in zip(q, qc_identity(2))])
+    assert pivots == [0, 1]
+    qi = [row[2:] for row in reduced]
+    assert qc_matmul(qi, q) == qc_identity(2)
     lam = qi[0][0] + qi[1][1]
     for i in range(4):
         for j in range(4):

@@ -130,15 +130,21 @@ def test_degree_bound_validation():
         check_exactness(DimVector.of(2), "X", 12)
 
 
-def test_action_solver_rejects_bad_systems():
-    from fractions import Fraction
+def test_action_solver_rejects_bad_systems(monkeypatch):
+    from qautk import resolution
+    from qautk.resolution import InconsistentComplexError, ModuleMatrix
 
-    from qautk.resolution import InconsistentComplexError, _solve_unique_rational
+    # with k = (1,) both slots evaluate to 1, so column j of d1 reads a_j + T b_j = 0
+    def solve(entries):
+        d1 = ModuleMatrix((INTEGRAL, INTEGRAL), (INTEGRAL, INTEGRAL), entries)
+        monkeypatch.setattr(resolution, "_d1_matrix", lambda k, test: d1)
+        return derive_t_action(DimVector.of(1), TEST_TRIVIAL)
 
-    with pytest.raises(InconsistentComplexError):
-        _solve_unique_rational([[Fraction(1)], [Fraction(1)]], [Fraction(1), Fraction(2)])
-    with pytest.raises(InconsistentComplexError):
-        _solve_unique_rational([[Fraction(0)]], [Fraction(0)])
+    assert solve((((1,), (2,)), ((0, 1), (0, 2)))) == -1  # 1 + T = 0 and 2 + 2T = 0
+    with pytest.raises(InconsistentComplexError, match="inconsistent"):
+        solve((((1,), (2,)), ((0, 1), (0, 1))))  # 1 + T = 0 and 2 + T = 0
+    with pytest.raises(InconsistentComplexError, match="not determined"):
+        solve((((), ()), ((), ())))  # no constraint on T
 
 
 def test_checker_flags_non_surjective_evaluation():

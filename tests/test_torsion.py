@@ -390,6 +390,25 @@ def test_ungraded_blocks():
     assert block_decomposition(_ungraded_c2()) == (1, 1)
 
 
+def _matrix_units(*sizes: int) -> GradedAlgebra:
+    """M_k1 (+) ... (+) M_kn on its matrix units e_ij, with e_ij* = e_ji."""
+    units = [(b, i, j) for b, k in enumerate(sizes) for i in range(k) for j in range(k)]
+    index = {u: x for x, u in enumerate(units)}
+    one = Cyclotomic.one(1)
+    mult = [
+        [((index[(b, i, l)], one),) if b == c and j == k else () for (c, k, l) in units]
+        for (b, i, j) in units
+    ]
+    star = [((index[(b, j, i)], one),) for (b, i, j) in units]
+    return GradedAlgebra.ungraded([f"e{b}_{i}{j}" for b, i, j in units], 1, mult, star)
+
+
+@pytest.mark.parametrize("sizes", [(1, 1, 1, 1, 4), (2, 2, 2, 2, 2)])
+def test_blocks_beyond_dimension_and_count(sizes):
+    # both algebras have dimension 20 and 5 blocks, so only the sizes tell them apart
+    assert block_decomposition(_matrix_units(*sizes)) == sizes
+
+
 def test_algebra_json_roundtrip():
     alg = twisted_group_algebra(FiniteGroup.klein_four(), Cocycle.pauli())
     back = GradedAlgebra.from_dict(alg.to_dict())
