@@ -33,7 +33,6 @@ from .repring import (
 from .resolution import (
     EvaluationMap,
     ExactnessReport,
-    ModuleMatrix,
     build_complex,
     check_exactness,
     derive_t_action,
@@ -69,7 +68,6 @@ __all__ = [
     "irreps_to_polynomial",
     "polynomial_to_irreps",
     "module_action",
-    "ModuleMatrix",
     "EvaluationMap",
     "ExactnessReport",
     "build_complex",

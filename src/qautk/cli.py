@@ -266,22 +266,30 @@ def _parse_qc_entry(value) -> ComplexRational:
         if not (re.is_real() and im.is_real()):
             raise InputError(f"invalid complex entry {value!r}")
         return ComplexRational(re.re, im.re)
-    if isinstance(value, dict):
-        re = _parse_qc_entry(value.get("re", 0))
-        im = _parse_qc_entry(value.get("im", 0))
-        return ComplexRational(re.re, im.re)
     raise InputError(f"invalid density entry {value!r}")
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a JSON list, got {value!r}")
+    return value
 
 
 def _cmd_delta_form(args):
     data = _read_json(args.algebra)
     if not isinstance(data, dict) or "blocks" not in data or "density" not in data:
         raise InputError('delta-form input must be {"blocks": [...], "density": [...]}')
-    blocks = [int(x) for x in data["blocks"]]
+    blocks = _json_list(data["blocks"], "blocks")
+    for size in blocks:
+        if isinstance(size, bool) or not isinstance(size, int):
+            raise InputError(f"block sizes must be integers, got {size!r}")
     algebra = FinDimAlgebra.of(*blocks)
     density = [
-        [[_parse_qc_entry(x) for x in row] for row in block]
-        for block in data["density"]
+        [
+            [_parse_qc_entry(x) for x in _json_list(row, "density row")]
+            for row in _json_list(block, "density block")
+        ]
+        for block in _json_list(data["density"], "density")
     ]
     state = AlgState(algebra, density)
     outcome = is_delta_form(algebra, state)
@@ -394,6 +402,10 @@ def _cmd_extract_torsion(args):
 def _cmd_magic_rank(args):
     if args.n < 1:
         raise InputError("n must be at least 1")
+    if args.n > args.max_n:
+        raise InputError(
+            f"--n {args.n} exceeds --max-n {args.max_n} ({args.n}! rows); raise --max-n to allow it"
+        )
     report = generator_rank_report(args.n, max_n=args.max_n)
     match = (
         report.ranks_agree
@@ -413,6 +425,9 @@ def _cmd_magic_rank(args):
 
 
 def _cmd_sweep(args):
+    for flag in ("max_n", "max_k", "samples"):
+        if getattr(args, flag) < 1:
+            raise InputError(f"--{flag.replace('_', '-')} must be at least 1, got {getattr(args, flag)}")
     samples = random_dim_vectors(args.samples, args.max_n, args.max_k, seed=args.seed)
     failures = []
     warnings: list[str] = []

@@ -234,9 +234,6 @@ class Cyclotomic:
             return self.coeffs[0]
         return None
 
-    def norm_squared(self) -> "Cyclotomic":
-        return self * self.conjugate()
-
     def lift(self, order: int) -> "Cyclotomic":
         """Embed into Q(zeta_order) for a multiple of the current order."""
         if order == self.order:
@@ -293,14 +290,22 @@ def cyclotomic_to_json(x: Cyclotomic):
     return {"coeffs": [_fraction_to_json(c) for c in x.coeffs]}
 
 
-def cyclotomic_from_json(order: int, data) -> Cyclotomic:
-    if isinstance(data, (int, str)):
-        return Cyclotomic.rational(order, Fraction(data))
+def _rational_from_json(data) -> Fraction:
     if isinstance(data, float):
         raise ValueError("coefficients must be exact: use \"p/q\" strings, not floats")
-    if isinstance(data, dict):
-        if "exp" in data:
-            return Cyclotomic.root(order, int(data["exp"]))
-        if "coeffs" in data:
-            return Cyclotomic.from_coeffs(order, [Fraction(c) for c in data["coeffs"]])
+    if isinstance(data, bool) or not isinstance(data, (int, str)):
+        raise ValueError(f"cannot read a rational from {data!r}")
+    return Fraction(data)
+
+
+def cyclotomic_from_json(order: int, data) -> Cyclotomic:
+    if not isinstance(data, dict):
+        return Cyclotomic.rational(order, _rational_from_json(data))
+    if "exp" in data:
+        exp = data["exp"]
+        if isinstance(exp, bool) or not isinstance(exp, int):
+            raise ValueError(f"root exponent must be an integer, got {exp!r}")
+        return Cyclotomic.root(order, exp)
+    if isinstance(data.get("coeffs"), list):
+        return Cyclotomic.from_coeffs(order, [_rational_from_json(c) for c in data["coeffs"]])
     raise ValueError(f"cannot read a cyclotomic number from {data!r}")

@@ -337,10 +337,6 @@ def invariant_factors(A: IntMatrix) -> tuple[int, ...]:
     return factors
 
 
-def rank(A: IntMatrix) -> int:
-    return sum(1 for d in invariant_factors(A) if d != 0)
-
-
 def _normalize_vector_sign(vec: list[int]) -> tuple[int, ...]:
     for x in vec:
         if x:
@@ -611,13 +607,6 @@ class FgAbelianGroup:
     @classmethod
     def trivial(cls) -> "FgAbelianGroup":
         return cls(0, ())
-
-    @classmethod
-    def free(cls, n: int) -> "FgAbelianGroup":
-        return cls(n, ())
-
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
 
     def describe(self) -> str:
         """Human-readable form, e.g. "Z^2 + Z_2^3"."""

@@ -1,11 +1,19 @@
 """The length-one resolution attached to a multi-matrix algebra.
 
 For block sizes k = (k_1, ..., k_n) the complex has modules of rank n + 1 on
-both sides.  Testing against the trivial object ("C") or the algebra itself
-("A") induces two matrices over Z[t] together with an evaluation map onto
-Z or Z^n.  After trivializing the half-integral module on its generator
-t^(1/2), all entries are plain integral polynomials; the "t" entries arise
-from the contraction t^(1/2) * t^(1/2) = t.
+both sides, over the fusion ring Z[t] of `qautk.repring` with its
+half-integral module t^(1/2) Z[t].  Both test objects, the trivial object
+("C") and the algebra itself ("A"), induce the same matrix
+
+    d1 = [[s I_n, -k], [-k^T, s]],        s = [V(1/2)] = t^(1/2),
+
+and differ only in their source generators: (1, ..., 1, s) for "C" and
+(s, ..., s, 1) for "A".  Entry (i, j) is stored as the ring product
+d1_ij * g_j, so the "t" entries are the contraction s * s = t computed by
+`RepRingElement.multiply`, and the parity of each target summand is read off
+its row.  Counting the half-integral generator t^(1/2) as degree zero, every
+entry is a plain integral polynomial, and an evaluation map sends the target
+onto Z or Z^n.
 
 The t-action on the evaluation target is never assumed: it is derived as the
 unique solution of the zero-composition constraint d0 (o) d1 = 0, and the
@@ -21,7 +29,7 @@ from typing import Sequence
 
 from .dims import DimVector
 from .exact_linalg import IntMatrix, LatticeBasis, invariant_factors, kernel_basis, _row_reduce
-from .repring import HALF_INTEGRAL, INTEGRAL
+from .repring import HALF_INTEGRAL, INTEGRAL, RepRingElement
 
 TEST_TRIVIAL = "C"
 TEST_ALGEBRA = "A"
@@ -34,54 +42,26 @@ class InconsistentComplexError(ValueError):
     """No t-action makes the composite zero: the construction is broken."""
 
 
-@dataclass(frozen=True)
-class ModuleMatrix:
-    """Matrix of a map between direct sums of rank-one free modules.
+# d1 as rows of fusion-ring elements; rows are target summands (slots),
+# columns are source summands
+Matrix = tuple[tuple[RepRingElement, ...], ...]
 
-    ``entries[i][j]`` is the coefficient tuple (low degree first) of the
-    trivialized polynomial entry; parities record which summands are the
-    half-integral module so compositions can account for the extra t.
-    """
-
-    row_parities: tuple[str, ...]
-    col_parities: tuple[str, ...]
-    entries: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def __post_init__(self):
-        if len(self.entries) != len(self.row_parities):
-            raise ValueError("row count does not match row parities")
-        for row in self.entries:
-            if len(row) != len(self.col_parities):
-                raise ValueError("column count does not match column parities")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.row_parities), len(self.col_parities)
-
-    def entry(self, i: int, j: int) -> tuple[int, ...]:
-        return self.entries[i][j]
-
-    def max_entry_degree(self) -> int:
-        deg = 0
-        for row in self.entries:
-            for p in row:
-                if len(p) > deg + 1:
-                    deg = len(p) - 1
-        return deg
+_S = RepRingElement.t_power(0, HALF_INTEGRAL)  # s = [V(1/2)] = t^(1/2)
+_ONE = RepRingElement.one()
+_ZERO = RepRingElement.zero()
 
 
 @dataclass(frozen=True)
 class EvaluationMap:
     """Evaluation of the target-side module onto Z^target_rank.
 
-    ``slot_images`` sends the degree-zero generator of each summand to an
-    integer vector; the basis element of degree m in a summand maps to
-    t_action^m applied to that image.
+    ``slot_images`` sends the degree-zero generator of each summand (1, or
+    t^(1/2) for a half-integral summand) to an integer vector; the basis
+    element of degree m in a summand maps to t_action^m applied to that image.
     """
 
     target_rank: int
     slot_images: tuple[tuple[int, ...], ...]
-    slot_parities: tuple[str, ...]
     t_action: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
@@ -107,20 +87,19 @@ class EvaluationMap:
             )
         return out
 
-    def evaluate(self, polys: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
-        """Apply to a vector of trivialized polynomials, one per slot."""
+    def evaluate(self, polys: Sequence[RepRingElement]) -> tuple[int, ...]:
+        """Apply to a vector of fusion-ring elements, one per slot."""
         if len(polys) != len(self.slot_images):
             raise ValueError("one polynomial per slot required")
         acc = [0] * self.target_rank
         for slot, poly in enumerate(polys):
-            if not poly:
+            if poly.is_zero():
                 continue
-            powers = self.t_power_images(slot, len(poly) - 1)
-            for m, c in enumerate(poly):
-                if c:
-                    img = powers[m]
-                    for i in range(self.target_rank):
-                        acc[i] += c * img[i]
+            powers = self.t_power_images(slot, poly.degree)
+            for m, c in poly.coefficients:
+                img = powers[m]
+                for i in range(self.target_rank):
+                    acc[i] += c * img[i]
         return tuple(acc)
 
 
@@ -150,27 +129,37 @@ def _check_test_object(test_object: str) -> None:
         raise ValueError(f"test object must be one of {TEST_OBJECTS}, got {test_object!r}")
 
 
-def _d1_matrix(k: DimVector, test_object: str) -> ModuleMatrix:
-    n = k.n
-    t_poly = (0, 1)
-    one = (1,)
-    zero = ()
-    rows = []
+def _source_generators(n: int, test_object: str) -> tuple[RepRingElement, ...]:
     if test_object == TEST_TRIVIAL:
-        # sources are n trivial summands and the algebra; the corner t is the
-        # contraction of two half-integral generators
-        for i in range(n):
-            rows.append(tuple(one if i == j else zero for j in range(n)) + ((-k[i],),))
-        rows.append(tuple((-k[j],) for j in range(n)) + (t_poly,))
-        row_par = (HALF_INTEGRAL,) * n + (INTEGRAL,)
-        col_par = (INTEGRAL,) * n + (HALF_INTEGRAL,)
-    else:
-        for i in range(n):
-            rows.append(tuple(t_poly if i == j else zero for j in range(n)) + ((-k[i],),))
-        rows.append(tuple((-k[j],) for j in range(n)) + (one,))
-        row_par = (INTEGRAL,) * n + (HALF_INTEGRAL,)
-        col_par = (HALF_INTEGRAL,) * n + (INTEGRAL,)
-    return ModuleMatrix(row_par, col_par, tuple(rows))
+        return (_ONE,) * n + (_S,)
+    return (_S,) * n + (_ONE,)
+
+
+def _differential(k: DimVector) -> Matrix:
+    """[[s I_n, -k], [-k^T, s]], shared by both test objects."""
+    n = k.n
+    neg = [RepRingElement.from_dict(INTEGRAL, {0: -x}) for x in k]
+    rows = [tuple(_S if i == j else _ZERO for j in range(n)) + (neg[i],) for i in range(n)]
+    rows.append(tuple(neg) + (_S,))
+    return tuple(rows)
+
+
+def _d1_matrix(k: DimVector, test_object: str) -> Matrix:
+    """d1 on the test object's source generators: entry (i, j) is d1_ij * g_j."""
+    gens = _source_generators(k.n, test_object)
+    return tuple(tuple(d.multiply(g) for d, g in zip(row, gens)) for row in _differential(k))
+
+
+def _row_parities(d1: Matrix) -> tuple[str | None, ...]:
+    """Parity of each target summand, read off the nonzero entries of its
+    row (None for a zero row)."""
+    out = []
+    for i, row in enumerate(d1):
+        parities = {e.parity for e in row if not e.is_zero()}
+        if len(parities) > 1:
+            raise InconsistentComplexError(f"row {i} of d1 mixes integral and half-integral entries")
+        out.append(parities.pop() if parities else None)
+    return tuple(out)
 
 
 def _slot_images(k: DimVector, test_object: str) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -184,33 +173,22 @@ def _slot_images(k: DimVector, test_object: str) -> tuple[tuple[tuple[int, ...],
     return images, n
 
 
-def derive_t_action(k: DimVector, test_object: str):
-    """The unique t-action on the evaluation target making d0 o d1 = 0.
-
-    Returns an integer scalar for the trivial test object and an IntMatrix
-    for the algebra test object.  Raises InconsistentComplexError when the
-    constraints have no (or no unique) solution.
-    """
-    _check_test_object(test_object)
-    d1 = _d1_matrix(k, test_object)
-    images, r = _slot_images(k, test_object)
-    nrows, ncols = d1.shape
+def _solve_t_action(d1: Matrix, images, r: int) -> list[list[int]]:
+    """Rows of the unique integer T with a + T b = 0 on every column of d1,
+    where a and b are the evaluated degree-0 and degree-1 parts."""
+    _row_parities(d1)  # raises on a row of mixed parity
     unknowns = r * r
     system: list[list[Fraction]] = []  # augmented rows [T coefficients | rhs]
-    for s in range(ncols):
+    for s in range(len(d1[0])):
         a = [0] * r
         b = [0] * r
-        for slot in range(nrows):
-            poly = d1.entry(slot, s)
-            img = images[slot]
-            if len(poly) >= 1 and poly[0]:
+        for row, img in zip(d1, images):
+            for q, c in row[s].coefficients:
+                if q > 1:
+                    raise InconsistentComplexError("matrix entries must have degree <= 1")
+                part = b if q else a
                 for i in range(r):
-                    a[i] += poly[0] * img[i]
-            if len(poly) >= 2 and poly[1]:
-                for i in range(r):
-                    b[i] += poly[1] * img[i]
-            if len(poly) > 2:
-                raise InconsistentComplexError("matrix entries must have degree <= 1")
+                    part[i] += c * img[i]
         if any(b) or any(a):
             # a + T b = 0, one equation per target coordinate
             for i in range(r):
@@ -228,33 +206,35 @@ def derive_t_action(k: DimVector, test_object: str):
         if x.denominator != 1:
             raise InconsistentComplexError(f"t-action entry {x} is not an integer")
         entries.append(int(x))
-    matrix = [entries[i * r : (i + 1) * r] for i in range(r)]
+    return [entries[i * r : (i + 1) * r] for i in range(r)]
+
+
+def derive_t_action(k: DimVector, test_object: str):
+    """The unique t-action on the evaluation target making d0 o d1 = 0.
+
+    Returns an integer scalar for the trivial test object and an IntMatrix
+    for the algebra test object.  Raises InconsistentComplexError when the
+    constraints have no (or no unique) solution, or when a row of d1 mixes
+    parities.
+    """
+    _check_test_object(test_object)
+    images, r = _slot_images(k, test_object)
+    matrix = _solve_t_action(_d1_matrix(k, test_object), images, r)
     if test_object == TEST_TRIVIAL:
         return matrix[0][0]
     return IntMatrix.from_rows(matrix)
 
 
-def build_complex(k: DimVector, test_object: str) -> tuple[ModuleMatrix, EvaluationMap]:
+def build_complex(k: DimVector, test_object: str) -> tuple[Matrix, EvaluationMap]:
     """Construct d1 and the evaluation map d0, with the t-action derived
     from the zero-composition constraint and re-verified exactly."""
     _check_test_object(test_object)
     d1 = _d1_matrix(k, test_object)
     images, r = _slot_images(k, test_object)
-    action = derive_t_action(k, test_object)
-    if isinstance(action, int):
-        t_rows: tuple[tuple[int, ...], ...] = ((action,),)
-    else:
-        t_rows = tuple(tuple(row) for row in action.to_lists())
-    ev = EvaluationMap(
-        target_rank=r,
-        slot_images=images,
-        slot_parities=d1.row_parities,
-        t_action=t_rows,
-    )
-    nrows, ncols = d1.shape
-    for s in range(ncols):
-        column = [d1.entry(slot, s) for slot in range(nrows)]
-        if any(ev.evaluate(column)):
+    t_rows = tuple(tuple(row) for row in _solve_t_action(d1, images, r))
+    ev = EvaluationMap(target_rank=r, slot_images=images, t_action=t_rows)
+    for s in range(len(d1[0])):
+        if any(ev.evaluate([row[s] for row in d1])):
             raise InconsistentComplexError(
                 f"composite d0 o d1 is nonzero on source slot {s}"
             )
@@ -265,23 +245,26 @@ def build_complex(k: DimVector, test_object: str) -> tuple[ModuleMatrix, Evaluat
 # Exactness certification on degree truncations
 # ---------------------------------------------------------------------------
 
-def _truncated_d1_columns(d1: ModuleMatrix, degree: int) -> list[list[int]]:
+def _truncated_d1_columns(d1: Matrix, degree: int) -> list[list[int]]:
     """Columns of the truncated map, as dense integer vectors.
 
     Source coordinates run over degrees 0..degree, target coordinates over
     degrees 0..degree+1; index order is degree-major.
     """
-    nrows, ncols = d1.shape
+    nrows = len(d1)
     tgt_len = (degree + 2) * nrows
+    # (target position at source degree 0, coefficient) per source column
+    terms = [
+        [(q * nrows + slot, c) for slot, row in enumerate(d1) for q, c in row[s].coefficients]
+        for s in range(len(d1[0]))
+    ]
     cols = []
     for m in range(degree + 1):
-        for s in range(ncols):
+        shift = m * nrows
+        for column in terms:
             vec = [0] * tgt_len
-            for slot in range(nrows):
-                poly = d1.entry(slot, s)
-                for q, c in enumerate(poly):
-                    if c:
-                        vec[(m + q) * nrows + slot] += c
+            for pos, c in column:
+                vec[shift + pos] += c
             cols.append(vec)
     return cols
 

@@ -416,6 +416,8 @@ class GradedAlgebra:
             for j in range(n):
                 target = self.group.mul(self.grading[i], self.grading[j])
                 for z, c in self.mult[i][j]:
+                    if not 0 <= z < n:
+                        raise GradedAlgebraError(f"mult[{i}][{j}] names basis index {z} outside 0..{n - 1}")
                     if c.is_zero():
                         raise GradedAlgebraError("zero coefficients must be dropped")
                     if self.grading[z] != target:
@@ -424,6 +426,8 @@ class GradedAlgebra:
                         )
             inv = self.group.inv(self.grading[i])
             for z, c in self.star[i]:
+                if not 0 <= z < n:
+                    raise GradedAlgebraError(f"star[{i}] names basis index {z} outside 0..{n - 1}")
                 if self.grading[z] != inv:
                     raise GradedAlgebraError(
                         f"involution of basis {i} leaves the inverse component"

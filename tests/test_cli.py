@@ -224,6 +224,62 @@ def test_library_value_error_exits_2(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def _c2_algebra(cell, value):
+    """The C2 group algebra as extract-torsion JSON, with one entry replaced:
+    ``cell`` is a path of list indices into the JSON."""
+    data = {
+        "group": {"order": 2, "identity": 0, "table": [[0, 1], [1, 0]]},
+        "basis": ["d0", "d1"],
+        "grading": [0, 1],
+        "root_order": 4,
+        "mult": [[[[0, 1]], [[1, 1]]], [[[1, 1]], [[0, 1]]]],
+        "star": [[[0, 1]], [[1, 1]]],
+    }
+    target = data
+    for key in cell[:-1]:
+        target = target[key]
+    target[cell[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, needle",
+    [
+        (["delta-form"], {"blocks": 2, "density": [[[1]]]}, "blocks must be a JSON list"),
+        (["delta-form"], {"blocks": [2], "density": 5}, "density must be a JSON list"),
+        (["delta-form"], {"blocks": [2], "density": [5]}, "density block must be a JSON list"),
+        (["delta-form"], {"blocks": [1], "density": [[5]]}, "density row must be a JSON list"),
+        (["delta-form"], {"blocks": [None], "density": [[[1]]]}, "block sizes must be integers"),
+        (["delta-form"], {"blocks": [2.5], "density": [[[1]]]}, "block sizes must be integers"),
+        (["delta-form"], {"blocks": [True], "density": [[[1]]]}, "block sizes must be integers"),
+        (["delta-form"], {"blocks": [1], "density": [[[{"re": "1", "im": [1, 2]}]]]}, "invalid density entry"),
+        (["extract-torsion"], _c2_algebra(("mult", 0, 0, 0, 0), 2), "basis index 2"),
+        (["extract-torsion"], _c2_algebra(("mult", 0, 1, 0, 0), -1), "basis index -1"),
+        (["extract-torsion"], _c2_algebra(("star", 1, 0, 0), -1), "basis index -1"),
+        (["extract-torsion"], _c2_algebra(("star", 0, 0, 0), 2), "basis index 2"),
+        (["extract-torsion"], _c2_algebra(("mult", 0, 0, 0, 1), {"exp": 1.5}), "exponent"),
+        (["extract-torsion"], _c2_algebra(("mult", 0, 0, 0, 1), {"exp": True}), "exponent"),
+        (["extract-torsion"], _c2_algebra(("mult", 0, 0, 0, 1), {"coeffs": [0.1, 0]}), "exact"),
+        (["extract-torsion"], _c2_algebra(("mult", 0, 0, 0, 1), {"coeffs": [True, 0]}), "rational"),
+        (["sweep", "--max-n", "0"], None, "--max-n"),
+        (["sweep", "--max-k", "0"], None, "--max-k"),
+        (["sweep", "--samples", "0"], None, "--samples"),
+        (["sweep", "--samples", "-1"], None, "--samples"),
+        (["magic-rank", "--n", "8"], None, "--max-n"),
+    ],
+)
+def test_malformed_input_exits_2(capsys, monkeypatch, argv, stdin, needle):
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(stdin)))
+        argv = argv + ["--algebra", "-"]
+    assert main(argv + ["--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert needle in lines[0]
+
+
 def test_cli_import_leaves_numpy_out():
     env = dict(os.environ, PYTHONPATH=str(Path(qautk.__file__).resolve().parents[1]))
     check = "import qautk.cli, sys; assert 'numpy' not in sys.modules"

@@ -3,27 +3,48 @@ import random
 import pytest
 
 from qautk.dims import DimVector
-from qautk.repring import HALF_INTEGRAL, INTEGRAL
+from qautk.repring import HALF_INTEGRAL, INTEGRAL, RepRingElement
 from qautk.resolution import (
     TEST_ALGEBRA,
     TEST_OBJECTS,
     TEST_TRIVIAL,
+    _d1_matrix,
+    _differential,
+    _row_parities,
+    _source_generators,
     build_complex,
     check_exactness,
     derive_t_action,
 )
 
+S = RepRingElement.t_power(0, HALF_INTEGRAL)
+ONE = RepRingElement.one()
+
+
+def poly(*coeffs, parity=INTEGRAL):
+    """Fusion-ring element from its coefficients, low degree first."""
+    return RepRingElement.from_dict(parity, dict(enumerate(coeffs)))
+
+
+def dense(d1):
+    """Entries as coefficient tuples, low degree first; () for zero."""
+    def coeffs(e):
+        d = e.as_dict()
+        return tuple(d.get(q, 0) for q in range(e.degree + 1))
+
+    return tuple(tuple(coeffs(e) for e in row) for row in d1)
+
 
 def test_trivial_test_display():
     d1, ev = build_complex(DimVector.of(2, 3), TEST_TRIVIAL)
     # diagonal ones, last column (-k_1, ..., -k_n, t)^T, last row (-k_j)
-    assert d1.entries == (
+    assert dense(d1) == (
         ((1,), (), (-2,)),
         ((), (1,), (-3,)),
         ((-2,), (-3,), (0, 1)),
     )
-    assert d1.row_parities == (HALF_INTEGRAL, HALF_INTEGRAL, INTEGRAL)
-    assert d1.col_parities == (INTEGRAL, INTEGRAL, HALF_INTEGRAL)
+    assert _row_parities(d1) == (HALF_INTEGRAL, HALF_INTEGRAL, INTEGRAL)
+    assert d1[2][2] == RepRingElement.t_power(1)  # s * s = t
     assert ev.target_rank == 1
     assert ev.slot_images == ((2,), (3,), (1,))
 
@@ -31,7 +52,7 @@ def test_trivial_test_display():
 def test_algebra_test_display():
     d1, ev = build_complex(DimVector.of(2, 3), TEST_ALGEBRA)
     # diagonal t entries, corner 1
-    assert d1.entries == (
+    assert dense(d1) == (
         ((0, 1), (), (-2,)),
         ((), (0, 1), (-3,)),
         ((-2,), (-3,), (1,)),
@@ -42,7 +63,28 @@ def test_algebra_test_display():
 
 def test_single_block_display():
     d1, _ = build_complex(DimVector.of(2), TEST_TRIVIAL)
-    assert d1.entries == (((1,), (-2,)), ((-2,), (0, 1)))
+    assert dense(d1) == (((1,), (-2,)), ((-2,), (0, 1)))
+
+
+def test_test_objects_share_one_matrix():
+    k = DimVector.of(2, 3, 5)
+    d = _differential(k)
+    zero = RepRingElement.zero()
+    assert d == (
+        (S, zero, zero, poly(-2)),
+        (zero, S, zero, poly(-3)),
+        (zero, zero, S, poly(-5)),
+        (poly(-2), poly(-3), poly(-5), S),
+    )
+    assert _source_generators(3, TEST_TRIVIAL) == (ONE, ONE, ONE, S)
+    assert _source_generators(3, TEST_ALGEBRA) == (S, S, S, ONE)
+    for test in TEST_OBJECTS:
+        gens = _source_generators(3, test)
+        d1 = _d1_matrix(k, test)
+        assert d1 == tuple(tuple(x.multiply(g) for x, g in zip(row, gens)) for row in d)
+    half, whole = HALF_INTEGRAL, INTEGRAL
+    assert _row_parities(_d1_matrix(k, TEST_TRIVIAL)) == (half, half, half, whole)
+    assert _row_parities(_d1_matrix(k, TEST_ALGEBRA)) == (whole, whole, whole, half)
 
 
 def test_derived_action_examples():
@@ -71,20 +113,23 @@ def test_composite_is_zero():
         dims = DimVector(tuple(rng.randint(1, 5) for _ in range(n)))
         for test in TEST_OBJECTS:
             d1, ev = build_complex(dims, test)
-            nrows, ncols = d1.shape
-            for s in range(ncols):
-                column = [d1.entry(slot, s) for slot in range(nrows)]
+            for s in range(len(d1[0])):
+                column = [row[s] for row in d1]
                 assert ev.evaluate(column) == (0,) * ev.target_rank
 
 
 def test_evaluation_respects_t_action():
-    _, ev = build_complex(DimVector.of(2, 3), TEST_ALGEBRA)
+    d1, ev = build_complex(DimVector.of(2, 3), TEST_ALGEBRA)
     t = ev.t_matrix()
     # degree-raising by one twists the image by the action matrix
+    parities = _row_parities(d1)
     for slot in range(len(ev.slot_images)):
         base = list(ev.slot_images[slot])
         shifted = ev.evaluate(
-            [(0, 1) if s == slot else () for s in range(len(ev.slot_images))]
+            [
+                RepRingElement.t_power(1, parities[s]) if s == slot else RepRingElement.zero()
+                for s in range(len(ev.slot_images))
+            ]
         )
         assert shifted == t.apply(base)
 
@@ -132,19 +177,22 @@ def test_degree_bound_validation():
 
 def test_action_solver_rejects_bad_systems(monkeypatch):
     from qautk import resolution
-    from qautk.resolution import InconsistentComplexError, ModuleMatrix
+    from qautk.resolution import InconsistentComplexError
 
     # with k = (1,) both slots evaluate to 1, so column j of d1 reads a_j + T b_j = 0
-    def solve(entries):
-        d1 = ModuleMatrix((INTEGRAL, INTEGRAL), (INTEGRAL, INTEGRAL), entries)
+    def solve(d1):
         monkeypatch.setattr(resolution, "_d1_matrix", lambda k, test: d1)
         return derive_t_action(DimVector.of(1), TEST_TRIVIAL)
 
-    assert solve((((1,), (2,)), ((0, 1), (0, 2)))) == -1  # 1 + T = 0 and 2 + 2T = 0
+    assert solve(((poly(1), poly(2)), (poly(0, 1), poly(0, 2)))) == -1  # 1 + T = 0 and 2 + 2T = 0
     with pytest.raises(InconsistentComplexError, match="inconsistent"):
-        solve((((1,), (2,)), ((0, 1), (0, 1))))  # 1 + T = 0 and 2 + T = 0
+        solve(((poly(1), poly(2)), (poly(0, 1), poly(0, 1))))  # 1 + T = 0 and 2 + T = 0
+    zero = RepRingElement.zero()
     with pytest.raises(InconsistentComplexError, match="not determined"):
-        solve((((), ()), ((), ())))  # no constraint on T
+        solve(((zero, zero), (zero, zero)))  # no constraint on T
+    with pytest.raises(InconsistentComplexError, match="mixes"):
+        # row 0 maps one source into Z[t] and the other into t^(1/2) Z[t]
+        solve(((poly(1), poly(2, parity=HALF_INTEGRAL)), (poly(0, 1), poly(0, 2))))
 
 
 def test_checker_flags_non_surjective_evaluation():
@@ -156,7 +204,6 @@ def test_checker_flags_non_surjective_evaluation():
     ev = EvaluationMap(
         target_rank=1,
         slot_images=((2,),),
-        slot_parities=(INTEGRAL,),
         t_action=((3,),),
     )
     factors = invariant_factors(_truncated_d0(ev, 4))
