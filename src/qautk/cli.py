@@ -2,10 +2,10 @@
 
 Exit codes: 0 on success (and on verified checks), 1 when a verification
 fails (theorem mismatch, non-exact complex, rank mismatch, rejected
-delta-form), 2 on malformed input.  Reports go to standard output as JSON
-when piped or with --json, and as a readable table on a terminal or with
---table.  All numbers in JSON are exact: integers beyond 2^53 become decimal
-strings and rationals are "p/q" strings.
+delta-form, block count mismatch), 2 on malformed input.  Reports go to
+standard output as JSON when piped or with --json, and as a readable table
+on a terminal or with --table.  All numbers in JSON are exact: integers
+beyond 2^53 become decimal strings and rationals are "p/q" strings.
 """
 
 from __future__ import annotations
@@ -371,32 +371,44 @@ def _parse_cocycle_spec(spec: str, group: FiniteGroup | None) -> tuple[FiniteGro
     return cocycle.group, cocycle
 
 
+def _compare_block_counts(classes: int, blocks) -> tuple[list[str], int]:
+    """Warnings and exit code of the check that the regular class count and
+    the Wedderburn block count agree."""
+    if classes == len(blocks):
+        return [], 0
+    return [f"block count mismatch: {classes} regular classes, {len(blocks)} blocks"], 1
+
+
 def _cmd_twisted_group(args):
     group = _parse_group_spec(args.group) if args.group else None
     group, cocycle = _parse_cocycle_spec(args.cocycle, group)
     algebra = twisted_group_algebra(group, cocycle)
     blocks = block_decomposition(algebra)
+    classes = regular_class_count(cocycle)
     results = {
         "dim": algebra.dim,
-        "regular_classes": regular_class_count(cocycle),
+        "regular_classes": classes,
         "blocks": list(blocks),
         "algebra": algebra.to_dict(),
     }
-    return results, [], 0
+    warnings, code = _compare_block_counts(classes, blocks)
+    return results, warnings, code
 
 
 def _cmd_extract_torsion(args):
     algebra = GradedAlgebra.from_dict(_read_json(args.algebra))
     subgroup, cocycle = extract_torsion_data(algebra)
     blocks = block_decomposition(algebra)
+    classes = regular_class_count(cocycle)
     results = {
         "group": subgroup.to_dict(),
         "cocycle_root_order": cocycle.root_order,
         "cocycle_values": [list(row) for row in cocycle.table],
-        "regular_classes": regular_class_count(cocycle),
+        "regular_classes": classes,
         "blocks": list(blocks),
     }
-    return results, [], 0
+    warnings, code = _compare_block_counts(classes, blocks)
+    return results, warnings, code
 
 
 def _cmd_magic_rank(args):
@@ -501,11 +513,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("delta-form", _cmd_delta_form, "test whether a state is a delta-form (exit 1 if not)")
     p.add_argument("--algebra", required=True, help="path to JSON {blocks, density}, or - for stdin")
 
-    p = add("twisted-group", _cmd_twisted_group, "build a twisted group algebra and decompose it")
+    p = add("twisted-group", _cmd_twisted_group, "build a twisted group algebra and decompose it (exit 1 on block count mismatch)")
     p.add_argument("--group", help="C<n>, S<n>, D<n>, Q8, products like C2xC2, or a JSON file")
     p.add_argument("--cocycle", required=True, help="trivial, pauli, bilinear:<a>x<b>, or a JSON file")
 
-    p = add("extract-torsion", _cmd_extract_torsion, "recover (subgroup, cocycle) from a graded algebra")
+    p = add("extract-torsion", _cmd_extract_torsion, "recover (subgroup, cocycle) from a graded algebra (exit 1 on block count mismatch)")
     p.add_argument("--algebra", required=True, help="path to graded-algebra JSON, or - for stdin")
 
     p = add("magic-rank", _cmd_magic_rank, "integer ranks of the generator families (exit 1 on mismatch)")

@@ -175,10 +175,14 @@ def _slot_images(k: DimVector, test_object: str) -> tuple[tuple[tuple[int, ...],
 
 def _solve_t_action(d1: Matrix, images, r: int) -> list[list[int]]:
     """Rows of the unique integer T with a + T b = 0 on every column of d1,
-    where a and b are the evaluated degree-0 and degree-1 parts."""
+    where a and b are the evaluated degree-0 and degree-1 parts.
+
+    Transposed, the constraints read b^T T^T = -a^T: one row [b | -a] per
+    column, r unknowns and r right-hand sides, so column i of the reduced
+    right-hand side is row i of T.
+    """
     _row_parities(d1)  # raises on a row of mixed parity
-    unknowns = r * r
-    system: list[list[Fraction]] = []  # augmented rows [T coefficients | rhs]
+    system: list[list[Fraction]] = []
     for s in range(len(d1[0])):
         a = [0] * r
         b = [0] * r
@@ -190,23 +194,17 @@ def _solve_t_action(d1: Matrix, images, r: int) -> list[list[int]]:
                 for i in range(r):
                     part[i] += c * img[i]
         if any(b) or any(a):
-            # a + T b = 0, one equation per target coordinate
-            for i in range(r):
-                row = [Fraction(0)] * unknowns + [Fraction(-a[i])]
-                for j in range(r):
-                    row[i * r + j] = Fraction(b[j])
-                system.append(row)
+            system.append([Fraction(x) for x in b] + [Fraction(-x) for x in a])
     reduced, pivots = _row_reduce(system)
-    if unknowns in pivots:
+    if pivots and pivots[-1] >= r:
         raise InconsistentComplexError("zero-composition constraints are inconsistent")
-    if len(pivots) != unknowns:
+    if len(pivots) != r:
         raise InconsistentComplexError("t-action is not determined by the constraints")
-    entries = []
-    for x in (row[unknowns] for row in reduced[:unknowns]):
+    t = [[reduced[j][r + i] for j in range(r)] for i in range(r)]
+    for x in (x for row in t for x in row):
         if x.denominator != 1:
             raise InconsistentComplexError(f"t-action entry {x} is not an integer")
-        entries.append(int(x))
-    return [entries[i * r : (i + 1) * r] for i in range(r)]
+    return [[int(x) for x in row] for row in t]
 
 
 def derive_t_action(k: DimVector, test_object: str):

@@ -53,6 +53,13 @@ class NonSemisimpleError(ValueError):
         self.witness = witness
 
 
+def _json_int(x) -> int:
+    """An integer read from JSON; booleans, floats and strings are refused."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # Finite groups by Cayley table
 # ---------------------------------------------------------------------------
@@ -231,8 +238,8 @@ class FiniteGroup:
     @classmethod
     def from_dict(cls, data: Mapping) -> "FiniteGroup":
         try:
-            table = tuple(tuple(int(x) for x in row) for row in data["table"])
-            identity = int(data.get("identity", 0))
+            table = tuple(tuple(_json_int(x) for x in row) for row in data["table"])
+            identity = _json_int(data.get("identity", 0))
             labels = tuple(str(x) for x in data.get("labels", ()))
         except (KeyError, TypeError, ValueError) as exc:
             raise GroupTableError(f"malformed group data: {exc}") from None
@@ -355,8 +362,8 @@ class Cocycle:
     def from_dict(cls, data: Mapping) -> "Cocycle":
         try:
             group = FiniteGroup.from_dict(data["group"])
-            m = int(data["root_order"])
-            table = tuple(tuple(int(x) for x in row) for row in data["values"])
+            m = _json_int(data["root_order"])
+            table = tuple(tuple(_json_int(x) for x in row) for row in data["values"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CocycleError(f"malformed cocycle data: {exc}") from None
         return cls(group, m, table)
@@ -441,53 +448,37 @@ class GradedAlgebra:
         return {i: Cyclotomic.one(self.root_order)}
 
     def multiply_vectors(self, x: SparseVec, y: SparseVec) -> SparseVec:
-        acc: SparseVec = {}
-        for i, a in x.items():
-            for j, b in y.items():
-                ab = a * b
-                for z, c in self.mult[i][j]:
-                    cur = acc.get(z)
-                    val = ab * c if cur is None else cur + ab * c
-                    acc[z] = val
-        return {z: c for z, c in acc.items() if not c.is_zero()}
+        return _combine((a * b, self.mult[i][j]) for i, a in x.items() for j, b in y.items())
 
     def star_vector(self, x: SparseVec) -> SparseVec:
-        acc: SparseVec = {}
-        for i, a in x.items():
-            ac = a.conjugate()
-            for z, c in self.star[i]:
-                cur = acc.get(z)
-                val = ac * c if cur is None else cur + ac * c
-                acc[z] = val
-        return {z: c for z, c in acc.items() if not c.is_zero()}
+        return _combine((a.conjugate(), self.star[i]) for i, a in x.items())
 
     def _check_star(self):
         n = len(self.basis_labels)
+        one = Cyclotomic.one(self.root_order)
+        stars = [_combine([(one, cell)]) for cell in self.star]
         for i in range(n):
-            double = self.star_vector(self.star_vector(self.vec_of_basis(i)))
-            if double != self.vec_of_basis(i):
+            if self.star_vector(stars[i]) != {i: one}:
                 raise GradedAlgebraError(f"involution is not involutive on basis {i}")
         for i in range(n):
             for j in range(n):
-                lhs = self.star_vector(self.multiply_vectors(self.vec_of_basis(i), self.vec_of_basis(j)))
-                rhs = self.multiply_vectors(
-                    self.star_vector(self.vec_of_basis(j)),
-                    self.star_vector(self.vec_of_basis(i)),
-                )
-                if lhs != rhs:
+                # (e_i e_j)* = sum of conj(c) e_z* over the cell, against e_j* e_i*
+                lhs = _combine((c.conjugate(), self.star[z]) for z, c in self.mult[i][j])
+                if lhs != self.multiply_vectors(stars[j], stars[i]):
                     raise GradedAlgebraError(
                         f"involution is not anti-multiplicative on basis ({i}, {j})"
                     )
 
     def _check_associative(self):
         n = len(self.basis_labels)
-        basis = [self.vec_of_basis(i) for i in range(n)]
+        mult = self.mult
         for i in range(n):
             for j in range(n):
-                ij = self.multiply_vectors(basis[i], basis[j])
+                ij = mult[i][j]
                 for kk in range(n):
-                    lhs = self.multiply_vectors(ij, basis[kk])
-                    rhs = self.multiply_vectors(basis[i], self.multiply_vectors(basis[j], basis[kk]))
+                    # (e_i e_j) e_k against e_i (e_j e_k), expanded over the cells
+                    lhs = _combine((c, mult[z][kk]) for z, c in ij)
+                    rhs = _combine((c, mult[i][y]) for y, c in mult[j][kk])
                     if lhs != rhs:
                         raise GradedAlgebraError(
                             f"product is not associative at ({i}, {j}, {kk})"
@@ -499,26 +490,6 @@ class GradedAlgebra:
 
     def component(self, g: int) -> list[int]:
         return [i for i, gi in enumerate(self.grading) if gi == g]
-
-    @classmethod
-    def ungraded(
-        cls,
-        basis_labels: Sequence[str],
-        root_order: int,
-        mult,
-        star,
-    ) -> "GradedAlgebra":
-        """Wrap plain structure constants with the trivial grading."""
-        trivial = FiniteGroup.cyclic(1)
-        n = len(basis_labels)
-        return cls(
-            group=trivial,
-            basis_labels=tuple(basis_labels),
-            grading=(0,) * n,
-            root_order=root_order,
-            mult=_coerce_mult(mult, root_order),
-            star=_coerce_star(star, root_order),
-        )
 
     def to_dict(self) -> dict:
         from .cyclotomic import cyclotomic_to_json
@@ -541,18 +512,18 @@ class GradedAlgebra:
 
         try:
             group = FiniteGroup.from_dict(data["group"])
-            order = int(data["root_order"])
+            order = _json_int(data["root_order"])
             basis = tuple(str(x) for x in data["basis"])
-            grading = tuple(int(x) for x in data["grading"])
+            grading = tuple(_json_int(x) for x in data["grading"])
             mult = tuple(
                 tuple(
-                    tuple((int(z), cyclotomic_from_json(order, c)) for z, c in cell)
+                    tuple((_json_int(z), cyclotomic_from_json(order, c)) for z, c in cell)
                     for cell in row
                 )
                 for row in data["mult"]
             )
             star = tuple(
-                tuple((int(z), cyclotomic_from_json(order, c)) for z, c in cell)
+                tuple((_json_int(z), cyclotomic_from_json(order, c)) for z, c in cell)
                 for cell in data["star"]
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -567,26 +538,16 @@ class GradedAlgebra:
         )
 
 
-def _coerce_coeff(value, order: int) -> Cyclotomic:
-    if isinstance(value, Cyclotomic):
-        return value.lift(order) if value.order != order else value
-    return Cyclotomic.rational(order, value)
-
-
-def _coerce_mult(mult, order: int):
-    return tuple(
-        tuple(
-            tuple((int(z), _coerce_coeff(c, order)) for z, c in cell)
-            for cell in row
-        )
-        for row in mult
-    )
-
-
-def _coerce_star(star, order: int):
-    return tuple(
-        tuple((int(z), _coerce_coeff(c, order)) for z, c in cell) for cell in star
-    )
+def _combine(terms) -> SparseVec:
+    """Sum of a * cell over (a, cell) pairs, where a cell lists (basis index,
+    coefficient) pairs; zero coefficients are dropped."""
+    acc: SparseVec = {}
+    for a, cell in terms:
+        for z, c in cell:
+            ac = a * c
+            cur = acc.get(z)
+            acc[z] = ac if cur is None else cur + ac
+    return {z: c for z, c in acc.items() if c}
 
 
 def is_ergodic(b: GradedAlgebra) -> bool:
@@ -735,17 +696,7 @@ def extract_torsion_data(b: GradedAlgebra) -> tuple[FiniteGroup, Cocycle]:
 # Wedderburn block decomposition
 # ---------------------------------------------------------------------------
 
-def _left_mult_matrix(b: GradedAlgebra, i: int) -> list[list[Cyclotomic]]:
-    n = b.dim
-    zero = Cyclotomic.zero(b.root_order)
-    out = [[zero] * n for _ in range(n)]
-    for j in range(n):
-        for z, c in b.mult[i][j]:
-            out[z][j] = out[z][j] + c
-    return out
-
-
-def _kernel(rows: list[list[Cyclotomic]], ncols: int, order: int) -> list[tuple[int, SparseVec]]:
+def _kernel(rows: Sequence[Sequence[Cyclotomic]], ncols: int, order: int) -> list[tuple[int, SparseVec]]:
     """Kernel basis read off the reduced rows, as (free column f, vector z)
     pairs: each z is 1 at its own f and 0 at every other free column."""
     reduced, pivots = _row_reduce(rows)
@@ -761,20 +712,27 @@ def _kernel(rows: list[list[Cyclotomic]], ncols: int, order: int) -> list[tuple[
 
 
 def _center_basis(b: GradedAlgebra) -> list[tuple[int, SparseVec]]:
-    """Kernel basis of the commutation system xz = zx over all basis z."""
+    """Kernel basis of the commutation system e_i x = x e_i over all basis i.
+
+    Row z of the system for e_i holds, at column j, the e_z-coefficient of
+    e_i e_j - e_j e_i.  Only its distinct nonzero rows are reduced: the
+    reduced echelon form, and so the kernel basis, depends only on the row
+    space.
+    """
     n = b.dim
-    rows: list[list[Cyclotomic]] = []
-    # right multiplication by basis i, as a matrix acting on coefficient vectors
     zero = Cyclotomic.zero(b.root_order)
+    rows: dict[tuple[Cyclotomic, ...], None] = {}
     for i in range(n):
-        right = [[zero] * n for _ in range(n)]
+        commutator = [[zero] * n for _ in range(n)]
         for j in range(n):
+            for z, c in b.mult[i][j]:
+                commutator[z][j] = commutator[z][j] + c
             for z, c in b.mult[j][i]:
-                right[z][j] = right[z][j] + c
-        li = _left_mult_matrix(b, i)
-        for z in range(n):
-            rows.append([li[z][j] - right[z][j] for j in range(n)])
-    return _kernel(rows, n, b.root_order)
+                commutator[z][j] = commutator[z][j] - c
+        for row in commutator:
+            if any(row):
+                rows.setdefault(tuple(row))
+    return _kernel(list(rows), n, b.root_order)
 
 
 def center_dimension(b: GradedAlgebra) -> int:

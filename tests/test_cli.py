@@ -224,9 +224,9 @@ def test_library_value_error_exits_2(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
-def _c2_algebra(cell, value):
-    """The C2 group algebra as extract-torsion JSON, with one entry replaced:
-    ``cell`` is a path of list indices into the JSON."""
+def _c2_algebra(cell=(), value=None):
+    """The C2 group algebra as extract-torsion JSON, with one entry replaced
+    when ``cell``, a path of keys and list indices into the JSON, is given."""
     data = {
         "group": {"order": 2, "identity": 0, "table": [[0, 1], [1, 0]]},
         "basis": ["d0", "d1"],
@@ -235,11 +235,19 @@ def _c2_algebra(cell, value):
         "mult": [[[[0, 1]], [[1, 1]]], [[[1, 1]], [[0, 1]]]],
         "star": [[[0, 1]], [[1, 1]]],
     }
-    target = data
-    for key in cell[:-1]:
-        target = target[key]
-    target[cell[-1]] = value
+    if cell:
+        target = data
+        for key in cell[:-1]:
+            target = target[key]
+        target[cell[-1]] = value
     return data
+
+
+_C2_COCYCLE = {
+    "group": {"order": 2, "identity": 0, "table": [[0, 1], [1, 0]]},
+    "root_order": 2,
+    "values": [[0, 0], [0, 0]],
+}
 
 
 @pytest.mark.parametrize(
@@ -266,18 +274,47 @@ def _c2_algebra(cell, value):
         (["sweep", "--samples", "0"], None, "--samples"),
         (["sweep", "--samples", "-1"], None, "--samples"),
         (["magic-rank", "--n", "8"], None, "--max-n"),
+        (["extract-torsion"], _c2_algebra(("mult", 0, 1, 0, 0), 1.5), "got 1.5"),
+        (["extract-torsion"], _c2_algebra(("mult", 0, 1, 0, 0), True), "got True"),
+        (["extract-torsion"], _c2_algebra(("star", 1, 0, 0), 1.0), "got 1.0"),
+        (["extract-torsion"], _c2_algebra(("grading", 1), 1.9), "got 1.9"),
+        (["extract-torsion"], _c2_algebra(("root_order",), 4.7), "got 4.7"),
+        (["extract-torsion"], _c2_algebra(("group", "table", 0, 1), 1.0), "got 1.0"),
+        (["extract-torsion"], _c2_algebra(("group", "identity"), "0"), "got '0'"),
+        (["twisted-group", "--cocycle", "-"], _C2_COCYCLE | {"root_order": 2.5}, "got 2.5"),
+        (["twisted-group", "--cocycle", "-"], _C2_COCYCLE | {"values": [[0, 0], [0, False]]}, "got False"),
+        (["twisted-group", "--group", "-", "--cocycle", "trivial"], {"table": [[0, True], [True, 0]]}, "got True"),
     ],
 )
 def test_malformed_input_exits_2(capsys, monkeypatch, argv, stdin, needle):
     if stdin is not None:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(stdin)))
-        argv = argv + ["--algebra", "-"]
+        if "-" not in argv:
+            argv = argv + ["--algebra", "-"]
     assert main(argv + ["--json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert needle in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["twisted-group", "--group", "S3", "--cocycle", "trivial"],
+        ["extract-torsion", "--algebra", "-"],
+    ],
+)
+def test_block_count_mismatch_exits_1(capsys, monkeypatch, argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(_c2_algebra())))
+    monkeypatch.setattr("qautk.cli.regular_class_count", lambda cocycle: 7)
+    code, payload = run_json(capsys, *argv)
+    assert code == 1
+    assert payload["results"]["regular_classes"] == 7
+    assert payload["warnings"] == [
+        f"block count mismatch: 7 regular classes, {len(payload['results']['blocks'])} blocks"
+    ]
 
 
 def test_cli_import_leaves_numpy_out():

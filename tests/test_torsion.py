@@ -193,11 +193,23 @@ def test_block_sum_of_squares():
 
 # -- ergodicity and extraction ------------------------------------------------
 
+def _ungraded(labels, mult, star) -> GradedAlgebra:
+    """Structure constants over Q, graded by the trivial group."""
+    return GradedAlgebra(
+        group=FiniteGroup.cyclic(1),
+        basis_labels=tuple(labels),
+        grading=(0,) * len(labels),
+        root_order=1,
+        mult=mult,
+        star=star,
+    )
+
+
 def _ungraded_c2() -> GradedAlgebra:
     one = Cyclotomic.one(1)
     mult = ((((0, one),), ()), ((), ((1, one),)))
     star = (((0, one),), ((1, one),))
-    return GradedAlgebra.ungraded(("p", "q"), 1, mult, star)
+    return _ungraded(("p", "q"), mult, star)
 
 
 def test_is_ergodic():
@@ -365,7 +377,7 @@ def test_non_semisimple_rejected_with_witness():
         (((1, one),), ()),
     )
     star = (((0, one),), ((1, one),))
-    alg = GradedAlgebra.ungraded(("1", "x"), 1, mult, star)
+    alg = _ungraded(("1", "x"), mult, star)
     with pytest.raises(NonSemisimpleError) as err:
         block_decomposition(alg)
     assert "x" in err.value.witness
@@ -395,12 +407,12 @@ def _matrix_units(*sizes: int) -> GradedAlgebra:
     units = [(b, i, j) for b, k in enumerate(sizes) for i in range(k) for j in range(k)]
     index = {u: x for x, u in enumerate(units)}
     one = Cyclotomic.one(1)
-    mult = [
-        [((index[(b, i, l)], one),) if b == c and j == k else () for (c, k, l) in units]
+    mult = tuple(
+        tuple(((index[(b, i, l)], one),) if b == c and j == k else () for (c, k, l) in units)
         for (b, i, j) in units
-    ]
-    star = [((index[(b, j, i)], one),) for (b, i, j) in units]
-    return GradedAlgebra.ungraded([f"e{b}_{i}{j}" for b, i, j in units], 1, mult, star)
+    )
+    star = tuple(((index[(b, j, i)], one),) for (b, i, j) in units)
+    return _ungraded([f"e{b}_{i}{j}" for b, i, j in units], mult, star)
 
 
 @pytest.mark.parametrize("sizes", [(1, 1, 1, 1, 4), (2, 2, 2, 2, 2)])
@@ -415,3 +427,48 @@ def test_algebra_json_roundtrip():
     assert back.mult == alg.mult
     assert back.star == alg.star
     assert back.grading == alg.grading
+
+
+def _m2_sheared():
+    """M_2 over Q on the basis (e11 + e12, e12, e21, e22): products and stars
+    have multi-term cells, so every check has to merge terms."""
+    basis = [((1, 1), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (1, 0)), ((0, 0), (0, 1))]
+
+    def cell(m):
+        # m = m11 e11 + m12 e12 + m21 e21 + m22 e22 with e11 = b0 - b1
+        (m11, m12), (m21, m22) = m
+        coeffs = (m11, m12 - m11, m21, m22)
+        return tuple((z, Cyclotomic.rational(1, c)) for z, c in enumerate(coeffs) if c)
+
+    def mat_mul(a, b):
+        return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2)) for i in range(2))
+
+    mult = tuple(tuple(cell(mat_mul(a, b)) for b in basis) for a in basis)
+    star = tuple(cell(((a[0][0], a[1][0]), (a[0][1], a[1][1]))) for a in basis)
+    return mult, star
+
+
+def test_multi_term_cells():
+    mult, star = _m2_sheared()
+    assert max(len(c) for row in mult for c in row) > 1 and max(len(c) for c in star) > 1
+    alg = _ungraded(("e11+e12", "e12", "e21", "e22"), mult, star)
+    assert block_decomposition(alg) == (2,)
+    assert center_dimension(alg) == 1
+
+
+def test_axiom_violations_named():
+    mult, star = _m2_sheared()
+    one, two = Cyclotomic.one(1), Cyclotomic.rational(1, 2)
+    labels = ("e11+e12", "e12", "e21", "e22")
+    with pytest.raises(GradedAlgebraError, match="not involutive"):
+        _ungraded(labels, mult, star[:1] + (((2, two),),) + star[2:])  # e12* = 2 e21
+    with pytest.raises(GradedAlgebraError, match="not anti-multiplicative"):
+        _ungraded(labels, mult, tuple(((i, one),) for i in range(4)))  # the identity map
+    # a commutative algebra with the identity involution: a^2 = b, ab = ba = a,
+    # b^2 = 0, so (a a) b = 0 but a (a b) = b
+    with pytest.raises(GradedAlgebraError, match=r"not associative at \(0, 0, 1\)"):
+        _ungraded(
+            ("a", "b"),
+            ((((1, one),), ((0, one),)), (((0, one),), ())),
+            (((0, one),), ((1, one),)),
+        )
