@@ -1,9 +1,13 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
-Elements are kept reduced modulo the m-th cyclotomic polynomial, so equality
-is coefficient equality.  This is enough field arithmetic for root-of-unity
-structure constants: products, conjugates, inverses, and exact comparisons,
-with a float embedding for the occasions where only a sign is needed.
+An element is a vector of integer numerators in the power basis
+1, zeta, ..., zeta^(phi(m)-1) over one positive common denominator, kept in
+lowest terms, so equality and hashing are exact.  All arithmetic runs on
+Python integers through two helpers: `_product` (convolution reduced modulo
+the m-th cyclotomic polynomial) and `_substitute` (zeta^j -> zeta_n^(a j),
+which gives conjugates, the other Galois conjugates, lifts and reduction).
+``Fraction`` appears only where rationals enter or leave.  A float embedding
+serves the occasions where only a sign is needed.
 """
 
 from __future__ import annotations
@@ -12,92 +16,111 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Sequence
-
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = num[:]
-    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    while len(num) >= len(den) and any(num):
-        if num[-1] == 0:
-            num.pop()
-            continue
-        shift = len(num) - len(den)
-        factor = num[-1] / den[-1]
-        quot[shift] = factor
-        for i, c in enumerate(den):
-            num[shift + i] -= factor * c
-        num.pop()
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Integer coefficients of the m-th cyclotomic polynomial, low degree first."""
+    """Integer coefficients of the m-th cyclotomic polynomial, low degree first.
+
+    x^m - 1 divided exactly by the monic Phi_d of every proper divisor d.
+    """
     if m < 1:
         raise ValueError("order must be positive")
-    num = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]  # x^m - 1
+    num = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            den = [Fraction(c) for c in cyclotomic_polynomial(d)]
-            num, rem = _poly_divmod(num, den)
-            if rem:
+            div = cyclotomic_polynomial(d)
+            quot = [0] * (len(num) - len(div) + 1)
+            for shift in reversed(range(len(quot))):
+                q = quot[shift] = num[shift + len(div) - 1]
+                for i, c in enumerate(div):
+                    num[shift + i] -= q * c
+            if any(num):
                 raise RuntimeError("cyclotomic division left a remainder")
-    out = []
-    for c in num:
-        if c.denominator != 1:
-            raise RuntimeError("cyclotomic polynomial not integral")
-        out.append(int(c))
-    return tuple(out)
+            num = quot
+    return tuple(num)
 
 
 @lru_cache(maxsize=None)
-def _power_table(m: int) -> tuple[tuple[Fraction, ...], ...]:
-    """zeta_m^k reduced modulo the cyclotomic polynomial, for 0 <= k < 2m."""
+def _power_table(m: int) -> tuple[tuple[int, ...], ...]:
+    """zeta_m^k reduced modulo the cyclotomic polynomial, for 0 <= k < m."""
     phi = cyclotomic_polynomial(m)
     deg = len(phi) - 1
     # x^deg = -(phi[0] + ... + phi[deg-1] x^(deg-1)) since phi is monic
-    top = [Fraction(-c) for c in phi[:-1]]
-    powers: list[tuple[Fraction, ...]] = []
-    cur = [Fraction(0)] * deg
-    cur[0] = Fraction(1)
-    for _ in range(2 * m):
+    powers = []
+    cur = [1] + [0] * (deg - 1)
+    for _ in range(m):
         powers.append(tuple(cur))
-        carry = cur[deg - 1]
-        nxt = [Fraction(0)] + cur[: deg - 1]
+        carry = cur[-1]
+        cur = [0] + cur[:-1]
         if carry:
-            nxt = [a + carry * b for a, b in zip(nxt, top)]
-        cur = nxt
+            cur = [a - carry * c for a, c in zip(cur, phi)]
     return tuple(powers)
+
+
+def _substitute(coeffs: Sequence[int], a: int, order: int) -> list[int]:
+    """Power-basis numerators of sum_j coeffs[j] * zeta_order^(a*j)."""
+    table = _power_table(order)
+    deg = len(table[0])
+    acc = [0] * deg
+    for j, c in enumerate(coeffs):
+        if c:
+            e = a * j % order
+            if e < deg:
+                acc[e] += c
+            else:
+                for t, p in enumerate(table[e]):
+                    acc[t] += c * p
+    return acc
+
+
+def _product(order: int, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+    """Power-basis numerators of the product of two elements' numerators."""
+    conv = [0] * (len(xs) + len(ys) - 1)
+    for i, x in enumerate(xs):
+        if x:
+            for j, y in enumerate(ys):
+                conv[i + j] += x * y
+    return _substitute(conv, 1, order)
 
 
 @dataclass(frozen=True)
 class Cyclotomic:
-    """An element of Q(zeta_order), reduced to the power basis."""
+    """sum_j coeffs[j] * zeta_order^j / den in Q(zeta_order).
+
+    Construction brings (coeffs, den) to lowest terms with den > 0.
+    """
 
     order: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
+    den: int
 
     def __post_init__(self):
         deg = len(cyclotomic_polynomial(self.order)) - 1
         if len(self.coeffs) != deg:
             raise ValueError(f"expected {deg} coefficients for order {self.order}")
+        if not self.den:
+            raise ZeroDivisionError("cyclotomic denominator is zero")
+        g = gcd(self.den, *self.coeffs)
+        if self.den < 0:
+            g = -g
+        if g != 1:
+            object.__setattr__(self, "coeffs", tuple(c // g for c in self.coeffs))
+            object.__setattr__(self, "den", self.den // g)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, order: int) -> "Cyclotomic":
-        deg = len(cyclotomic_polynomial(order)) - 1
-        return cls(order, (Fraction(0),) * deg)
+        return cls.rational(order, 0)
 
     @classmethod
     def rational(cls, order: int, value) -> "Cyclotomic":
+        q = Fraction(value)
         deg = len(cyclotomic_polynomial(order)) - 1
-        coeffs = [Fraction(0)] * deg
-        coeffs[0] = Fraction(value)
-        return cls(order, tuple(coeffs))
+        return cls(order, (q.numerator,) + (0,) * (deg - 1), q.denominator)
 
     @classmethod
     def one(cls, order: int) -> "Cyclotomic":
@@ -106,23 +129,15 @@ class Cyclotomic:
     @classmethod
     def root(cls, order: int, exponent: int) -> "Cyclotomic":
         """zeta_order ** exponent."""
-        table = _power_table(order)
-        return cls(order, table[exponent % order])
+        return cls(order, _power_table(order)[exponent % order], 1)
 
     @classmethod
     def from_coeffs(cls, order: int, coeffs: Sequence) -> "Cyclotomic":
-        """Reduce an arbitrary polynomial in zeta_order."""
-        table = _power_table(order)
-        deg = len(table[0])
-        acc = [Fraction(0)] * deg
-        for k, c in enumerate(coeffs):
-            c = Fraction(c)
-            if not c:
-                continue
-            base = table[k % order]
-            for i in range(deg):
-                acc[i] += c * base[i]
-        return cls(order, tuple(acc))
+        """Reduce an arbitrary polynomial in zeta_order with rational coefficients."""
+        qs = [Fraction(c) for c in coeffs]
+        den = lcm(*(q.denominator for q in qs))
+        nums = [q.numerator * (den // q.denominator) for q in qs]
+        return cls(order, tuple(_substitute(nums, 1, order)), den)
 
     # -- ring operations ----------------------------------------------------
 
@@ -134,73 +149,47 @@ class Cyclotomic:
 
     def __add__(self, other: "Cyclotomic") -> "Cyclotomic":
         self._match(other)
-        return Cyclotomic(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        d, e = self.den, other.den
+        nums = tuple(a * e + b * d for a, b in zip(self.coeffs, other.coeffs))
+        return Cyclotomic(self.order, nums, d * e)
 
     def __sub__(self, other: "Cyclotomic") -> "Cyclotomic":
         self._match(other)
-        return Cyclotomic(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        d, e = self.den, other.den
+        nums = tuple(a * e - b * d for a, b in zip(self.coeffs, other.coeffs))
+        return Cyclotomic(self.order, nums, d * e)
 
     def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic(self.order, tuple(-a for a in self.coeffs))
+        return Cyclotomic(self.order, tuple(-a for a in self.coeffs), self.den)
 
     def __mul__(self, other: "Cyclotomic") -> "Cyclotomic":
         self._match(other)
-        deg = len(self.coeffs)
-        table = _power_table(self.order)
-        acc = [Fraction(0)] * deg
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b:
-                    continue
-                c = a * b
-                k = i + j
-                if k < deg:
-                    acc[k] += c
-                else:
-                    base = table[k]
-                    for t in range(deg):
-                        acc[t] += c * base[t]
-        return Cyclotomic(self.order, tuple(acc))
+        return Cyclotomic(
+            self.order, tuple(_product(self.order, self.coeffs, other.coeffs)), self.den * other.den
+        )
 
     def scale(self, factor) -> "Cyclotomic":
         f = Fraction(factor)
-        return Cyclotomic(self.order, tuple(f * a for a in self.coeffs))
+        return Cyclotomic(
+            self.order, tuple(f.numerator * a for a in self.coeffs), f.denominator * self.den
+        )
 
     def inverse(self) -> "Cyclotomic":
-        """Field inverse via the extended Euclidean algorithm mod Phi_m."""
-        if self.is_zero():
+        """x^-1 = prod_{a != 1} sigma_a(x) / N(x), the norm N(x) being rational.
+
+        sigma_a (zeta -> zeta^a, gcd(a, m) = 1) runs over the Galois group.
+        """
+        if not any(self.coeffs):
             raise ZeroDivisionError("inverse of zero")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = phi, list(self.coeffs)
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        s0: list[Fraction] = [Fraction(0)]
-        s1: list[Fraction] = [Fraction(1)]
-        while True:
-            quot, rem = _poly_divmod(r0, r1)
-            if not rem:
-                break
-            # s_next = s0 - quot * s1
-            prod = [Fraction(0)] * (len(quot) + len(s1) - 1)
-            for i, qc_ in enumerate(quot):
-                if qc_:
-                    for j, sc in enumerate(s1):
-                        prod[i + j] += qc_ * sc
-            length = max(len(s0), len(prod))
-            s_next = [
-                (s0[i] if i < len(s0) else Fraction(0))
-                - (prod[i] if i < len(prod) else Fraction(0))
-                for i in range(length)
-            ]
-            r0, r1 = r1, rem
-            s0, s1 = s1, s_next
-        # r1 is a nonzero constant gcd (Phi_m is irreducible over Q)
-        if len(r1) != 1:
-            raise RuntimeError("cyclotomic gcd is not a unit")
-        inv_const = 1 / r1[0]
-        return Cyclotomic.from_coeffs(self.order, [c * inv_const for c in s1])
+        m = self.order
+        others = [1] + [0] * (len(self.coeffs) - 1)
+        for a in range(2, m):
+            if gcd(a, m) == 1:
+                others = _product(m, others, _substitute(self.coeffs, a, m))
+        norm = _product(m, self.coeffs, others)
+        if any(norm[1:]):
+            raise RuntimeError("cyclotomic norm is not rational")
+        return Cyclotomic(m, tuple(self.den * c for c in others), norm[0])
 
     def __truediv__(self, other: "Cyclotomic") -> "Cyclotomic":
         return self * other.inverse()
@@ -210,29 +199,20 @@ class Cyclotomic:
         return self.inverse().scale(other)
 
     def conjugate(self) -> "Cyclotomic":
-        table = _power_table(self.order)
-        deg = len(self.coeffs)
-        acc = [Fraction(0)] * deg
-        for j, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            base = table[(self.order - j) % self.order]
-            for t in range(deg):
-                acc[t] += a * base[t]
-        return Cyclotomic(self.order, tuple(acc))
+        return Cyclotomic(self.order, tuple(_substitute(self.coeffs, -1, self.order)), self.den)
 
     # -- predicates and conversions -----------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __bool__(self) -> bool:
         return any(self.coeffs)
 
     def as_rational(self) -> Fraction | None:
-        if all(c == 0 for c in self.coeffs[1:]):
-            return self.coeffs[0]
-        return None
+        if any(self.coeffs[1:]):
+            return None
+        return Fraction(self.coeffs[0], self.den)
 
     def lift(self, order: int) -> "Cyclotomic":
         """Embed into Q(zeta_order) for a multiple of the current order."""
@@ -240,14 +220,14 @@ class Cyclotomic:
             return self
         if order % self.order:
             raise ValueError(f"{self.order} does not divide {order}")
-        step = order // self.order
-        return Cyclotomic.from_coeffs(order, _sparse_to_list(self.coeffs, step))
+        nums = _substitute(self.coeffs, order // self.order, order)
+        return Cyclotomic(order, tuple(nums), self.den)
 
     def __complex__(self) -> complex:
         z = 0j
         for j, a in enumerate(self.coeffs):
             if a:
-                z += float(a) * cmath.exp(2j * cmath.pi * j / self.order)
+                z += a / self.den * cmath.exp(2j * cmath.pi * j / self.order)
         return z
 
     def __str__(self) -> str:
@@ -255,18 +235,12 @@ class Cyclotomic:
         for j, a in enumerate(self.coeffs):
             if not a:
                 continue
+            q = Fraction(a, self.den)
             if j == 0:
-                parts.append(str(a))
+                parts.append(str(q))
             else:
-                parts.append(f"{a}*z^{j}" if a != 1 else f"z^{j}")
+                parts.append(f"{q}*z^{j}" if q != 1 else f"z^{j}")
         return " + ".join(parts) if parts else "0"
-
-
-def _sparse_to_list(coeffs: Sequence[Fraction], step: int) -> list[Fraction]:
-    out = [Fraction(0)] * ((len(coeffs) - 1) * step + 1)
-    for j, c in enumerate(coeffs):
-        out[j * step] = c
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +261,7 @@ def cyclotomic_to_json(x: Cyclotomic):
     for a in range(x.order):
         if x == Cyclotomic.root(x.order, a):
             return {"exp": a}
-    return {"coeffs": [_fraction_to_json(c) for c in x.coeffs]}
+    return {"coeffs": [_fraction_to_json(Fraction(c, x.den)) for c in x.coeffs]}
 
 
 def _rational_from_json(data) -> Fraction:

@@ -1,10 +1,11 @@
 """Exact linear algebra.
 
-Smith and Hermite normal forms with unimodular transformation matrices,
-integer kernels and cokernels, and finitely generated abelian groups in
-invariant-factor form, all on Python's arbitrary-precision integers, so no
-operation can overflow.  One Gauss-Jordan elimination serves every exact
-field the library uses: rationals, Gaussian rationals and cyclotomic fields.
+Smith normal form with unimodular transformation matrices, row Hermite
+normal form, integer kernels and cokernels, and finitely generated abelian
+groups in invariant-factor form, all on Python's arbitrary-precision
+integers, so no operation can overflow.  One Gauss-Jordan elimination serves
+every exact field the library uses: rationals, Gaussian rationals and
+cyclotomic fields.
 """
 
 from __future__ import annotations
@@ -367,7 +368,8 @@ def kernel_basis(A: IntMatrix) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class HermiteDecomposition:
-    """Row-style Hermite normal form: H = U @ A with U unimodular.
+    """Row-style Hermite normal form: the nonzero rows of H are a basis of
+    the row lattice of A.
 
     H is in echelon form with positive pivots, entries above each pivot
     reduced into [0, pivot), and ``pivot_cols`` lists the pivot column of
@@ -375,7 +377,6 @@ class HermiteDecomposition:
     """
 
     H: IntMatrix
-    U: IntMatrix
     pivot_cols: tuple[int, ...]
 
     @property
@@ -383,8 +384,7 @@ class HermiteDecomposition:
         return len(self.pivot_cols)
 
 
-def _hnf_engine(m, rows, cols, want_u):
-    u = _identity_lists(rows) if want_u else None
+def _hnf_engine(m, rows, cols):
     pivot_cols = []
     r = 0
     for c in range(cols):
@@ -405,12 +405,8 @@ def _hnf_engine(m, rows, cols, want_u):
                 break
             if pi != r:
                 m[r], m[pi] = m[pi], m[r]
-                if u is not None:
-                    u[r], u[pi] = u[pi], u[r]
             if m[r][c] < 0:
                 _negate_row(m, r)
-                if u is not None:
-                    _negate_row(u, r)
             piv = m[r][c]
             done = True
             for i in range(r + 1, rows):
@@ -421,10 +417,6 @@ def _hnf_engine(m, rows, cols, want_u):
                 mi, mr = m[i], m[r]
                 for j in range(c, cols):
                     mi[j] -= q * mr[j]
-                if u is not None:
-                    ui, ur = u[i], u[r]
-                    for j in range(rows):
-                        ui[j] -= q * ur[j]
                 if mi[c]:
                     done = False
             if done:
@@ -439,21 +431,16 @@ def _hnf_engine(m, rows, cols, want_u):
                 mi, mr = m[i], m[r]
                 for j in range(c, cols):
                     mi[j] -= q * mr[j]
-                if u is not None:
-                    ui, ur = u[i], u[r]
-                    for j in range(rows):
-                        ui[j] -= q * ur[j]
         pivot_cols.append(c)
         r += 1
-    return m, u, pivot_cols
+    return m, pivot_cols
 
 
 def hermite_normal_form(A: IntMatrix) -> HermiteDecomposition:
-    """Row Hermite normal form with transformation matrix."""
-    m, u, pivots = _hnf_engine(A.to_lists(), A.rows, A.cols, True)
+    """Row Hermite normal form."""
+    m, pivots = _hnf_engine(A.to_lists(), A.rows, A.cols)
     return HermiteDecomposition(
         H=IntMatrix.from_rows(m) if A.rows else IntMatrix(0, A.cols, ()),
-        U=IntMatrix.from_rows(u) if A.rows else IntMatrix(0, 0, ()),
         pivot_cols=tuple(pivots),
     )
 
@@ -462,7 +449,7 @@ class LatticeBasis:
     """Echelonized basis of the row lattice of a matrix, for membership tests."""
 
     def __init__(self, A: IntMatrix):
-        m, _, pivots = _hnf_engine(A.to_lists(), A.rows, A.cols, False)
+        m, pivots = _hnf_engine(A.to_lists(), A.rows, A.cols)
         self.cols = A.cols
         self.pivot_cols = tuple(pivots)
         self.basis = [m[i] for i in range(len(pivots))]
@@ -472,7 +459,7 @@ class LatticeBasis:
         """Build from raw generator rows without IntMatrix overhead."""
         self = cls.__new__(cls)
         work = [row[:] for row in rows]
-        m, _, pivots = _hnf_engine(work, len(work), cols, False)
+        m, pivots = _hnf_engine(work, len(work), cols)
         self.cols = cols
         self.pivot_cols = tuple(pivots)
         self.basis = [m[i] for i in range(len(pivots))]

@@ -241,8 +241,11 @@ class FiniteGroup:
             table = tuple(tuple(_json_int(x) for x in row) for row in data["table"])
             identity = _json_int(data.get("identity", 0))
             labels = tuple(str(x) for x in data.get("labels", ()))
+            order = _json_int(data.get("order", len(table)))
         except (KeyError, TypeError, ValueError) as exc:
             raise GroupTableError(f"malformed group data: {exc}") from None
+        if order != len(table):
+            raise GroupTableError(f"group order {order} does not match a table of {len(table)} rows")
         return cls(table, identity, labels)
 
 

@@ -284,6 +284,9 @@ _C2_COCYCLE = {
         (["twisted-group", "--cocycle", "-"], _C2_COCYCLE | {"root_order": 2.5}, "got 2.5"),
         (["twisted-group", "--cocycle", "-"], _C2_COCYCLE | {"values": [[0, 0], [0, False]]}, "got False"),
         (["twisted-group", "--group", "-", "--cocycle", "trivial"], {"table": [[0, True], [True, 0]]}, "got True"),
+        (["twisted-group", "--group", "-", "--cocycle", "trivial"], _C2_COCYCLE["group"] | {"order": 5}, "group order 5"),
+        (["twisted-group", "--cocycle", "-"], _C2_COCYCLE | {"group": _C2_COCYCLE["group"] | {"order": 1}}, "group order 1"),
+        (["extract-torsion"], _c2_algebra(("group", "order"), 3), "group order 3"),
     ],
 )
 def test_malformed_input_exits_2(capsys, monkeypatch, argv, stdin, needle):

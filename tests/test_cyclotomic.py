@@ -1,4 +1,7 @@
 import cmath
+import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -76,3 +79,105 @@ def test_json_roundtrip():
         assert cyclotomic_from_json(8, data) == x
     with pytest.raises(ValueError):
         cyclotomic_from_json(8, 0.5)
+
+
+# -- Fraction reference: polynomials in x modulo Phi_m, low degree first ------
+
+def _ref_reduce(m, poly):
+    """Remainder of a rational polynomial modulo Phi_m, as phi(m) Fractions."""
+    phi = cyclotomic_polynomial(m)
+    deg = len(phi) - 1
+    r = [Fraction(c) for c in poly] + [Fraction(0)] * deg
+    for k in range(len(r) - 1, deg - 1, -1):
+        c = r[k]
+        if c:
+            for i, p in enumerate(phi):
+                r[k - deg + i] -= c * p
+    return r[:deg]
+
+
+def _ref_mul(m, a, b):
+    conv = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    return _ref_reduce(m, conv)
+
+
+def _ref(x: Cyclotomic):
+    return [Fraction(c, x.den) for c in x.coeffs]
+
+
+def _random_poly(rng, m):
+    return [
+        Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 7)))
+        for _ in range(rng.randint(1, 2 * m))
+    ]
+
+
+@pytest.mark.parametrize("m", range(1, 25))
+def test_field_against_fraction_reference(m):
+    rng = random.Random(m)
+    one = [Fraction(1)] + [Fraction(0)] * (len(cyclotomic_polynomial(m)) - 2)
+    for _ in range(6):
+        p, q = _random_poly(rng, m), _random_poly(rng, m)
+        x, y = Cyclotomic.from_coeffs(m, p), Cyclotomic.from_coeffs(m, q)
+        rx, ry = _ref_reduce(m, p), _ref_reduce(m, q)
+        assert _ref(x) == rx
+        assert x.den > 0 and math.gcd(x.den, *x.coeffs) == 1
+        assert _ref(x + y) == [a + b for a, b in zip(rx, ry)]
+        assert _ref(x - y) == [a - b for a, b in zip(rx, ry)]
+        assert _ref(x * y) == _ref_mul(m, rx, ry)
+        # zeta^-j = zeta^(m-j)
+        conj = [Fraction(0)] * m
+        for j, c in enumerate(rx):
+            conj[(m - j) % m] += c
+        assert _ref(x.conjugate()) == _ref_reduce(m, conj)
+        # zeta_m = zeta_km^k
+        for k in (2, 3):
+            spread = [Fraction(0)] * (k * len(rx))
+            spread[::k] = rx
+            assert _ref(x.lift(k * m)) == _ref_reduce(k * m, spread)
+        assert cyclotomic_from_json(m, json.loads(json.dumps(cyclotomic_to_json(x)))) == x
+        if any(rx):
+            assert _ref_mul(m, rx, _ref(x.inverse())) == one
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+    with pytest.raises(ZeroDivisionError):
+        Cyclotomic.zero(m).inverse()
+
+
+def test_canonical_form():
+    x = Cyclotomic.from_coeffs(6, [1, 2])
+    same = [
+        Cyclotomic.from_coeffs(6, [2, 4]).scale(Fraction(1, 2)),
+        Cyclotomic.from_coeffs(6, [Fraction(3, 3), Fraction(4, 2)]),
+        Cyclotomic.from_coeffs(6, [0, 2, 0, 0, 0, 0, 1]),  # zeta^6 = 1
+        Cyclotomic.one(6) + Cyclotomic.root(6, 1) * Cyclotomic.rational(6, 2),
+        Cyclotomic(6, (-2, -4), -2),
+        (x * Cyclotomic.rational(6, Fraction(2, 3))) / Cyclotomic.rational(6, Fraction(2, 3)),
+    ]
+    for y in same:
+        assert y == x and hash(y) == hash(x)
+        assert (y.coeffs, y.den) == ((1, 2), 1)
+    z = Cyclotomic.from_coeffs(12, [Fraction(1, 2), 3, 0, Fraction(-5, 3)])
+    assert z - z == Cyclotomic.zero(12) and hash(z - z) == hash(Cyclotomic.zero(12))
+    assert (z - z).den == 1
+    assert Cyclotomic.rational(4, Fraction(-6, 4)) == Cyclotomic(4, (3, 0), -2)
+
+
+def test_cyclotomic_polynomial_identities():
+    for m in range(1, 61):
+        prod = [1]
+        for d in range(1, m + 1):
+            if m % d == 0:
+                phi = cyclotomic_polynomial(d)
+                conv = [0] * (len(prod) + len(phi) - 1)
+                for i, a in enumerate(prod):
+                    for j, b in enumerate(phi):
+                        conv[i + j] += a * b
+                prod = conv
+        assert prod == [-1] + [0] * (m - 1) + [1]
+        totient = sum(1 for a in range(1, m + 1) if math.gcd(a, m) == 1)
+        assert len(cyclotomic_polynomial(m)) - 1 == totient
