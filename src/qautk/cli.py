@@ -345,30 +345,24 @@ def _parse_group_spec(spec: str) -> FiniteGroup:
     return FiniteGroup.from_dict(_read_json(spec))
 
 
-def _parse_cocycle_spec(spec: str, group: FiniteGroup | None) -> tuple[FiniteGroup, Cocycle]:
+def _parse_cocycle_spec(spec: str, group: FiniteGroup | None) -> Cocycle:
     if spec == "trivial":
         if group is None:
             raise InputError("--group is required for the trivial cocycle")
-        return group, Cocycle.trivial(group)
+        return Cocycle.trivial(group)
     if spec == "pauli":
         cocycle = Cocycle.pauli()
-        if group is not None and group.table != cocycle.group.table:
-            raise InputError("the pauli cocycle lives on C2xC2")
-        return cocycle.group, cocycle
-    if spec.startswith("bilinear:"):
-        body = spec[len("bilinear:"):]
+    elif spec.startswith("bilinear:"):
         try:
-            a, b = (int(x) for x in body.split("x"))
+            a, b = (int(x) for x in spec[len("bilinear:"):].split("x"))
         except ValueError:
             raise InputError("bilinear cocycle spec is bilinear:<a>x<b>") from None
         cocycle = Cocycle.bilinear_on_product(a, b)
-        if group is not None and group.table != cocycle.group.table:
-            raise InputError(f"bilinear:{body} lives on C{a}xC{b}")
-        return cocycle.group, cocycle
-    cocycle = Cocycle.from_dict(_read_json(spec))
+    else:
+        cocycle = Cocycle.from_dict(_read_json(spec))
     if group is not None and group.table != cocycle.group.table:
-        raise InputError("cocycle file carries a different group than --group")
-    return cocycle.group, cocycle
+        raise InputError(f"cocycle {spec} lives on another group than --group")
+    return cocycle
 
 
 def _compare_block_counts(classes: int, blocks) -> tuple[list[str], int]:
@@ -381,8 +375,8 @@ def _compare_block_counts(classes: int, blocks) -> tuple[list[str], int]:
 
 def _cmd_twisted_group(args):
     group = _parse_group_spec(args.group) if args.group else None
-    group, cocycle = _parse_cocycle_spec(args.cocycle, group)
-    algebra = twisted_group_algebra(group, cocycle)
+    cocycle = _parse_cocycle_spec(args.cocycle, group)
+    algebra = twisted_group_algebra(cocycle)
     blocks = block_decomposition(algebra)
     classes = regular_class_count(cocycle)
     results = {

@@ -60,6 +60,12 @@ def _power_table(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(powers)
 
 
+@lru_cache(maxsize=None)
+def _root_exponents(m: int) -> dict[tuple[int, ...], int]:
+    """The inverse of `_power_table`: numerators of zeta_m^k mapped to k."""
+    return {p: k for k, p in enumerate(_power_table(m))}
+
+
 def _substitute(coeffs: Sequence[int], a: int, order: int) -> list[int]:
     """Power-basis numerators of sum_j coeffs[j] * zeta_order^(a*j)."""
     table = _power_table(order)
@@ -214,6 +220,10 @@ class Cyclotomic:
             return None
         return Fraction(self.coeffs[0], self.den)
 
+    def root_exponent(self) -> int | None:
+        """The k in 0..order-1 with self == zeta_order^k, or None if there is none."""
+        return _root_exponents(self.order).get(self.coeffs) if self.den == 1 else None
+
     def lift(self, order: int) -> "Cyclotomic":
         """Embed into Q(zeta_order) for a multiple of the current order."""
         if order == self.order:
@@ -258,9 +268,9 @@ def cyclotomic_to_json(x: Cyclotomic):
     r = x.as_rational()
     if r is not None:
         return _fraction_to_json(r)
-    for a in range(x.order):
-        if x == Cyclotomic.root(x.order, a):
-            return {"exp": a}
+    a = x.root_exponent()
+    if a is not None:
+        return {"exp": a}
     return {"coeffs": [_fraction_to_json(Fraction(c, x.den)) for c in x.coeffs]}
 
 

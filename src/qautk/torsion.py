@@ -7,6 +7,11 @@ against the group law is a normalized U(1)-valued 2-cocycle.  This module
 builds twisted group algebras from cocycle data, recovers (subgroup, cocycle)
 pairs from graded algebras, and computes Wedderburn block sizes.
 
+The ``GradedAlgebra`` constructor checks sizes, index ranges, grading and
+dropped zeros; ``validate``, which ``from_dict`` runs on JSON input, checks
+the involution and associativity.  A twisted group algebra inherits those
+axioms from the cocycle identity that ``Cocycle`` checks on construction.
+
 The block sizes come from two trace forms on the center: Tr_A(L_xy) and
 Tr_Z(L_xy|_Z), which in the basis of central primitive idempotents read
 diag(m_i^2) and the identity.  Ranks of their combinations count the blocks
@@ -21,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, cyclotomic_from_json, cyclotomic_to_json
 from .exact_linalg import _row_reduce
 
 
@@ -293,9 +298,6 @@ class Cocycle:
     def value(self, s: int, t: int) -> int:
         return self.table[s][t]
 
-    def root(self, s: int, t: int) -> Cyclotomic:
-        return Cyclotomic.root(self.root_order, self.table[s][t])
-
     @classmethod
     def trivial(cls, group: FiniteGroup, root_order: int = 1) -> "Cocycle":
         n = group.order
@@ -400,10 +402,10 @@ class GradedAlgebra:
 
     ``mult[i][j]`` lists (basis index, coefficient) pairs for the product of
     basis elements i and j; ``star[i]`` likewise for the involution.
-    Coefficients live in Q(zeta_root_order).  Construction verifies that the
-    grading is multiplicative, the involution maps the g-component to the
-    g^-1-component and is an involutive anti-homomorphism, and the product
-    is associative.
+    Coefficients live in Q(zeta_root_order).  Construction verifies the
+    sizes and index ranges, that no coefficient is zero, that the grading is
+    multiplicative and that the involution maps the g-component to the
+    g^-1-component.  ``validate`` verifies the rest of the axioms.
     """
 
     group: FiniteGroup
@@ -438,12 +440,12 @@ class GradedAlgebra:
             for z, c in self.star[i]:
                 if not 0 <= z < n:
                     raise GradedAlgebraError(f"star[{i}] names basis index {z} outside 0..{n - 1}")
+                if c.is_zero():
+                    raise GradedAlgebraError("zero coefficients must be dropped")
                 if self.grading[z] != inv:
                     raise GradedAlgebraError(
                         f"involution of basis {i} leaves the inverse component"
                     )
-        self._check_star()
-        self._check_associative()
 
     # -- sparse-vector helpers ------------------------------------------------
 
@@ -456,8 +458,11 @@ class GradedAlgebra:
     def star_vector(self, x: SparseVec) -> SparseVec:
         return _combine((a.conjugate(), self.star[i]) for i, a in x.items())
 
-    def _check_star(self):
+    def validate(self) -> None:
+        """Check, in this order, that the involution is involutive and
+        anti-multiplicative and that the product is associative."""
         n = len(self.basis_labels)
+        mult = self.mult
         one = Cyclotomic.one(self.root_order)
         stars = [_combine([(one, cell)]) for cell in self.star]
         for i in range(n):
@@ -466,15 +471,11 @@ class GradedAlgebra:
         for i in range(n):
             for j in range(n):
                 # (e_i e_j)* = sum of conj(c) e_z* over the cell, against e_j* e_i*
-                lhs = _combine((c.conjugate(), self.star[z]) for z, c in self.mult[i][j])
+                lhs = _combine((c.conjugate(), self.star[z]) for z, c in mult[i][j])
                 if lhs != self.multiply_vectors(stars[j], stars[i]):
                     raise GradedAlgebraError(
                         f"involution is not anti-multiplicative on basis ({i}, {j})"
                     )
-
-    def _check_associative(self):
-        n = len(self.basis_labels)
-        mult = self.mult
         for i in range(n):
             for j in range(n):
                 ij = mult[i][j]
@@ -495,8 +496,6 @@ class GradedAlgebra:
         return [i for i, gi in enumerate(self.grading) if gi == g]
 
     def to_dict(self) -> dict:
-        from .cyclotomic import cyclotomic_to_json
-
         return {
             "group": self.group.to_dict(),
             "basis": list(self.basis_labels),
@@ -511,8 +510,6 @@ class GradedAlgebra:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "GradedAlgebra":
-        from .cyclotomic import cyclotomic_from_json
-
         try:
             group = FiniteGroup.from_dict(data["group"])
             order = _json_int(data["root_order"])
@@ -531,7 +528,7 @@ class GradedAlgebra:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise GradedAlgebraError(f"malformed graded algebra data: {exc}") from None
-        return cls(
+        algebra = cls(
             group=group,
             basis_labels=basis,
             grading=grading,
@@ -539,6 +536,8 @@ class GradedAlgebra:
             mult=mult,
             star=star,
         )
+        algebra.validate()
+        return algebra
 
 
 def _combine(terms) -> SparseVec:
@@ -558,15 +557,15 @@ def is_ergodic(b: GradedAlgebra) -> bool:
     return len(b.component(b.group.identity)) == 1
 
 
-def twisted_group_algebra(h: FiniteGroup, omega: Cocycle) -> GradedAlgebra:
-    """C*_omega(H): basis d_s with d_s d_t = omega(s,t) d_st and
-    d_s* = omega(s, s^-1)^-1 d_(s^-1), graded by H itself."""
-    if omega.group.table != h.table or omega.group.identity != h.identity:
-        raise CocycleError("cocycle is defined on a different group")
+def twisted_group_algebra(omega: Cocycle) -> GradedAlgebra:
+    """C*_omega(H) on the group H of omega: basis d_s with d_s d_t = omega(s,t) d_st
+    and d_s* = omega(s, s^-1)^-1 d_(s^-1), graded by H.  It is not validated:
+    the cocycle identity implies every axiom that ``validate`` checks."""
+    h = omega.group
     m = omega.root_order
     n = h.order
     mult = tuple(
-        tuple(((h.mul(s, t), omega.root(s, t)),) for t in range(n)) for s in range(n)
+        tuple(((h.mul(s, t), Cyclotomic.root(m, omega.value(s, t))),) for t in range(n)) for s in range(n)
     )
     star = tuple(
         ((h.inv(s), Cyclotomic.root(m, -omega.value(s, h.inv(s)))),) for s in range(n)
@@ -584,10 +583,6 @@ def twisted_group_algebra(h: FiniteGroup, omega: Cocycle) -> GradedAlgebra:
 # ---------------------------------------------------------------------------
 # Extraction of (subgroup, cocycle) from an ergodic graded algebra
 # ---------------------------------------------------------------------------
-
-def _real_positive(x: Cyclotomic) -> bool:
-    return x == x.conjugate() and complex(x).real > 0
-
 
 def extract_torsion_data(b: GradedAlgebra) -> tuple[FiniteGroup, Cocycle]:
     """Recover the support subgroup and a representative cocycle.
@@ -647,7 +642,7 @@ def extract_torsion_data(b: GradedAlgebra) -> tuple[FiniteGroup, Cocycle]:
         if set(prod) != {e_idx}:
             raise TorsionExtractionError(f"{g.label(s)}* {g.label(s)} is not scalar")
         value = prod[e_idx] * c  # coefficient relative to the unit
-        if not _real_positive(value):
+        if value != value.conjugate() or complex(value).real <= 0:
             raise TorsionExtractionError(
                 f"component of {g.label(s)} is not spanned by an invertible: "
                 f"b* b = {value} times the unit"
@@ -669,12 +664,12 @@ def extract_torsion_data(b: GradedAlgebra) -> tuple[FiniteGroup, Cocycle]:
                 )
             gamma = gamma / tgt_coeff
             # omega = gamma * sqrt(lam_st / (lam_s lam_t)) must be a root of
-            # unity; compare squares exactly, then fix the sign numerically
-            lhs = (gamma * gamma * lam[st]).lift(m_big)
-            rhs_base = (lam[s] * lam[t]).lift(m_big)
+            # unity; its square zeta^j is read off exactly, which leaves the
+            # two square roots zeta^(j/2) and -zeta^(j/2) for the sign test
+            j = (gamma * gamma * lam[st] / (lam[s] * lam[t])).lift(m_big).root_exponent()
             matches = []
-            for a in range(m_big):
-                if lhs == Cyclotomic.root(m_big, 2 * a) * rhs_base:
+            if j is not None and j % 2 == 0:
+                for a in (j // 2, j // 2 + m_big // 2):
                     ratio = complex(gamma) * complex(Cyclotomic.root(m_big, -a))
                     if ratio.real > 0:
                         matches.append(a)

@@ -287,6 +287,15 @@ _C2_COCYCLE = {
         (["twisted-group", "--group", "-", "--cocycle", "trivial"], _C2_COCYCLE["group"] | {"order": 5}, "group order 5"),
         (["twisted-group", "--cocycle", "-"], _C2_COCYCLE | {"group": _C2_COCYCLE["group"] | {"order": 1}}, "group order 1"),
         (["extract-torsion"], _c2_algebra(("group", "order"), 3), "group order 3"),
+        (["extract-torsion"], _c2_algebra(("star", 1, 0, 1), 0), "zero coefficients must be dropped"),
+        (["extract-torsion"], _c2_algebra(("star", 1, 0, 1), 2), "not involutive"),
+        (["extract-torsion"], _c2_algebra(("star", 1, 0, 1), {"exp": 1}), "not anti-multiplicative"),
+        (
+            ["extract-torsion"],
+            _c2_algebra(("mult",), [[[[0, 1]], [[1, 2]]], [[[1, 2]], [[0, 1]]]]),
+            "not associative at (0, 0, 1)",
+        ),
+        (["twisted-group", "--group", "C4", "--cocycle", "pauli"], None, "lives on another group than --group"),
     ],
 )
 def test_malformed_input_exits_2(capsys, monkeypatch, argv, stdin, needle):

@@ -37,6 +37,20 @@ def test_root_arithmetic(m):
             assert Cyclotomic.root(m, a) * Cyclotomic.root(m, b) == Cyclotomic.root(m, (a + b) % m)
 
 
+@pytest.mark.parametrize("m", range(1, 25))
+def test_root_exponent_against_linear_search(m):
+    def search(x):
+        return next((a for a in range(m) if x == Cyclotomic.root(m, a)), None)
+
+    one = Cyclotomic.one(m)
+    for k in range(m):
+        zk = Cyclotomic.root(m, k)
+        assert zk.root_exponent() == search(zk) == k
+        # den > 1, den 1 off the unit circle, and sums of several terms
+        for x in (zk.scale(Fraction(1, 2)), zk.scale(2), zk + one, zk - Cyclotomic.root(m, 1)):
+            assert x.root_exponent() == search(x)
+
+
 def test_root_sums_vanish():
     for m in (2, 3, 4, 6, 8, 12):
         total = Cyclotomic.zero(m)

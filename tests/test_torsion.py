@@ -135,14 +135,14 @@ def test_cocycle_json_roundtrip():
 
 def test_twisted_trivial_is_commutative_group_algebra():
     c2 = FiniteGroup.cyclic(2)
-    alg = twisted_group_algebra(c2, Cocycle.trivial(c2))
+    alg = twisted_group_algebra(Cocycle.trivial(c2))
     assert alg.dim == 2
     assert is_ergodic(alg)
     assert block_decomposition(alg) == (1, 1)
 
 
 def test_twisted_pauli_is_single_matrix_block():
-    alg = twisted_group_algebra(FiniteGroup.klein_four(), Cocycle.pauli())
+    alg = twisted_group_algebra(Cocycle.pauli())
     assert is_ergodic(alg)
     assert block_decomposition(alg) == (2,)
     assert center_dimension(alg) == 1
@@ -150,14 +150,14 @@ def test_twisted_pauli_is_single_matrix_block():
 
 def test_twisted_c3():
     c3 = FiniteGroup.cyclic(3)
-    alg = twisted_group_algebra(c3, Cocycle.trivial(c3))
+    alg = twisted_group_algebra(Cocycle.trivial(c3))
     assert block_decomposition(alg) == (1, 1, 1)
 
 
 def test_twisted_associativity_exhaustive():
     # independent of the cocycle identity check: verify on all triples
     for cocycle in (Cocycle.pauli(), Cocycle.bilinear_on_product(2, 4)):
-        alg = twisted_group_algebra(cocycle.group, cocycle)
+        alg = twisted_group_algebra(cocycle)
         n = alg.dim
         basis = [alg.vec_of_basis(i) for i in range(n)]
         for i in range(n):
@@ -169,6 +169,49 @@ def test_twisted_associativity_exhaustive():
                     )
 
 
+def _product(*groups: FiniteGroup) -> FiniteGroup:
+    out = groups[0]
+    for g in groups[1:]:
+        out = FiniteGroup.direct_product(out, g)
+    return out
+
+
+def _coboundary(group: FiniteGroup, root_order: int) -> Cocycle:
+    rng = random.Random(group.order * root_order)
+    beta = [rng.randrange(root_order) for _ in range(group.order)]
+    beta[group.identity] = 0
+    return Cocycle.coboundary(group, root_order, beta)
+
+
+_CATALOGUE = {
+    "pauli": Cocycle.pauli,
+    "bilinear:2x4": lambda: Cocycle.bilinear_on_product(2, 4),
+    "bilinear:3x3": lambda: Cocycle.bilinear_on_product(3, 3),
+    "bilinear:4x4": lambda: Cocycle.bilinear_on_product(4, 4),
+    "bilinear:2x6": lambda: Cocycle.bilinear_on_product(2, 6),
+    "bilinear:4x12": lambda: Cocycle.bilinear_on_product(4, 12),
+    "Q8 coboundary:5": lambda: _coboundary(FiniteGroup.quaternion(), 5),
+    "D4 coboundary:3": lambda: _coboundary(FiniteGroup.dihedral(4), 3),
+    "D6 coboundary:6": lambda: _coboundary(FiniteGroup.dihedral(6), 6),
+    "D4 trivial": lambda: Cocycle.trivial(FiniteGroup.dihedral(4)),
+    "Q8 trivial": lambda: Cocycle.trivial(FiniteGroup.quaternion()),
+    "S4 trivial": lambda: Cocycle.trivial(FiniteGroup.symmetric(4)),
+    "D12 trivial": lambda: Cocycle.trivial(FiniteGroup.dihedral(12)),
+    "Q8xC3 trivial": lambda: Cocycle.trivial(_product(FiniteGroup.quaternion(), FiniteGroup.cyclic(3))),
+    "S3xC2xC2 trivial": lambda: Cocycle.trivial(
+        _product(FiniteGroup.symmetric(3), FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
+    ),
+    "S4xC2 trivial": lambda: Cocycle.trivial(_product(FiniteGroup.symmetric(4), FiniteGroup.cyclic(2))),
+}
+
+
+@pytest.mark.parametrize("shape", list(_CATALOGUE))
+def test_twisted_algebras_pass_validate(shape):
+    # twisted_group_algebra trusts the cocycle identity; validate re-proves
+    # the axioms it implies on every graded benchmark shape
+    twisted_group_algebra(_CATALOGUE[shape]()).validate()
+
+
 def test_group_algebra_blocks_match_irreducible_degrees():
     # trivial cocycle: blocks are the irrep degrees; center = class count
     cases = [
@@ -178,14 +221,14 @@ def test_group_algebra_blocks_match_irreducible_degrees():
         (FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.klein_four()), (1,) * 8),
     ]
     for group, expected in cases:
-        alg = twisted_group_algebra(group, Cocycle.trivial(group))
+        alg = twisted_group_algebra(Cocycle.trivial(group))
         assert block_decomposition(alg) == expected
         assert center_dimension(alg) == len(group.conjugacy_classes())
 
 
 def test_block_sum_of_squares():
     for cocycle in (Cocycle.pauli(), Cocycle.bilinear_on_product(4, 4)):
-        alg = twisted_group_algebra(cocycle.group, cocycle)
+        alg = twisted_group_algebra(cocycle)
         blocks = block_decomposition(alg)
         assert sum(m * m for m in blocks) == alg.dim
         assert len(blocks) == center_dimension(alg) == regular_class_count(cocycle)
@@ -194,8 +237,8 @@ def test_block_sum_of_squares():
 # -- ergodicity and extraction ------------------------------------------------
 
 def _ungraded(labels, mult, star) -> GradedAlgebra:
-    """Structure constants over Q, graded by the trivial group."""
-    return GradedAlgebra(
+    """Structure constants over Q, graded by the trivial group, validated."""
+    alg = GradedAlgebra(
         group=FiniteGroup.cyclic(1),
         basis_labels=tuple(labels),
         grading=(0,) * len(labels),
@@ -203,6 +246,8 @@ def _ungraded(labels, mult, star) -> GradedAlgebra:
         mult=mult,
         star=star,
     )
+    alg.validate()
+    return alg
 
 
 def _ungraded_c2() -> GradedAlgebra:
@@ -214,9 +259,9 @@ def _ungraded_c2() -> GradedAlgebra:
 
 def test_is_ergodic():
     c2 = FiniteGroup.cyclic(2)
-    assert is_ergodic(twisted_group_algebra(c2, Cocycle.trivial(c2)))
+    assert is_ergodic(twisted_group_algebra(Cocycle.trivial(c2)))
     assert not is_ergodic(_ungraded_c2())
-    assert is_ergodic(twisted_group_algebra(FiniteGroup.klein_four(), Cocycle.pauli()))
+    assert is_ergodic(twisted_group_algebra(Cocycle.pauli()))
 
 
 def test_extract_rejects_non_ergodic():
@@ -226,7 +271,7 @@ def test_extract_rejects_non_ergodic():
 
 def test_extract_trivial_group_algebra():
     c3 = FiniteGroup.cyclic(3)
-    h, omega = extract_torsion_data(twisted_group_algebra(c3, Cocycle.trivial(c3)))
+    h, omega = extract_torsion_data(twisted_group_algebra(Cocycle.trivial(c3)))
     assert h.order == 3
     assert regular_class_count(omega) == 3
     assert all(x == 0 for row in omega.table for x in row)  # recovered exactly trivial
@@ -276,7 +321,7 @@ def _pauli_matrix_algebra() -> GradedAlgebra:
         adj = [[paulis[i][c][r].conjugate() for c in range(2)] for r in range(2)]
         coeffs = expand(adj)
         star.append(tuple((z, c) for z, c in enumerate(coeffs) if not c.is_zero()))
-    return GradedAlgebra(
+    alg = GradedAlgebra(
         group=FiniteGroup.klein_four(),
         basis_labels=("I", "sx", "sy", "sz"),
         grading=(0, 1, 2, 3),
@@ -284,6 +329,8 @@ def _pauli_matrix_algebra() -> GradedAlgebra:
         mult=tuple(mult),
         star=tuple(star),
     )
+    alg.validate()
+    return alg
 
 
 def test_extract_pauli_graded_matrix_algebra():
@@ -326,6 +373,7 @@ def test_extract_handles_rescaled_bases():
         mult=mult,
         star=star,
     )
+    rescaled.validate()
     _, omega = extract_torsion_data(rescaled)
     assert regular_class_count(omega) == 1
 
@@ -339,7 +387,7 @@ def test_roundtrip_preserves_regular_class_count():
             beta[group.identity] = 0
             cocycles.append(Cocycle.coboundary(group, 4, beta))
         for omega_in in cocycles:
-            algebra = twisted_group_algebra(group, omega_in)
+            algebra = twisted_group_algebra(omega_in)
             h, omega_out = extract_torsion_data(algebra)
             assert h.order == group.order
             assert regular_class_count(omega_out) == regular_class_count(omega_in)
@@ -350,7 +398,7 @@ def test_roundtrip_odd_root_order():
     for n, beta in ((3, [0, 1, 2]), (6, [0, 2, 1, 0, 1, 2])):
         g = FiniteGroup.cyclic(n)
         omega_in = Cocycle.coboundary(g, 3, beta)
-        h, omega_out = extract_torsion_data(twisted_group_algebra(g, omega_in))
+        h, omega_out = extract_torsion_data(twisted_group_algebra(omega_in))
         assert h.order == n
         assert regular_class_count(omega_out) == n
 
@@ -362,7 +410,7 @@ def test_roundtrip_nontrivial_classes():
         Cocycle.bilinear_on_product(2, 4),
         Cocycle.bilinear_on_product(4, 4),
     ):
-        algebra = twisted_group_algebra(omega_in.group, omega_in)
+        algebra = twisted_group_algebra(omega_in)
         _, omega_out = extract_torsion_data(algebra)
         assert regular_class_count(omega_out) == regular_class_count(omega_in)
 
@@ -422,7 +470,7 @@ def test_blocks_beyond_dimension_and_count(sizes):
 
 
 def test_algebra_json_roundtrip():
-    alg = twisted_group_algebra(FiniteGroup.klein_four(), Cocycle.pauli())
+    alg = twisted_group_algebra(Cocycle.pauli())
     back = GradedAlgebra.from_dict(alg.to_dict())
     assert back.mult == alg.mult
     assert back.star == alg.star
