@@ -23,7 +23,7 @@ from .exact_linalg import FgAbelianGroup, IntMatrix, smith_normal_form
 from .findim import AlgState, ComplexRational, FinDimAlgebra, is_delta_form
 from .ktheory import closed_form, k_theory, verify_theorem
 from .magic import generator_rank_report
-from .resolution import TEST_ALGEBRA, TEST_OBJECTS, TEST_TRIVIAL, check_exactness
+from .resolution import TEST_ALGEBRA, TEST_OBJECTS, TEST_TRIVIAL, check_exactness, derive_t_action
 from .torsion import (
     Cocycle,
     FiniteGroup,
@@ -301,9 +301,9 @@ def _cmd_delta_form(args):
         "delta_exact": outcome.delta_exact(),
     }
     if outcome.witness is not None:
-        label, observed, expected = outcome.witness
+        block, observed, expected = outcome.witness
         results["witness"] = {
-            "basis": list(label),
+            "block": block,
             "observed": observed,
             "expected": expected,
         }
@@ -441,6 +441,11 @@ def _cmd_sweep(args):
         if not verify_theorem(dims):
             failures.append({"dims": str(dims), "stage": "verify"})
             continue
+        # the canonical delta-form has delta^2 = sum k_i^2, the t-action on C
+        algebra = FinDimAlgebra(dims)
+        delta_squared = is_delta_form(algebra, AlgState.canonical(algebra)).delta_squared
+        if not delta_squared == dims.algebra_dim == derive_t_action(dims, TEST_TRIVIAL):
+            failures.append({"dims": str(dims), "stage": "delta-form"})
         if not args.skip_resolution:
             for test in TEST_OBJECTS:
                 report = check_exactness(dims, test, args.degree)

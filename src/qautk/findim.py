@@ -1,12 +1,15 @@
 """Multi-matrix algebras with faithful states and the delta-form test.
 
-A state on M_k1 (+) ... (+) M_kn is given by blockwise density matrices with
-total trace one.  The GNS inner product <a, b> = state(a* b) turns the
+A state on M_k1 (+) ... (+) M_kn is given by blockwise density matrices Q_i
+with total trace one.  The GNS inner product <a, b> = state(a* b) turns the
 algebra into a Hilbert space; the multiplication map mu then has an adjoint
-mu*, and the state is a delta-form exactly when mu mu* is a scalar.  All
-arithmetic is over complex numbers with rational real and imaginary parts, so
-"scalar" versus "not scalar" is an exact distinction; delta itself is
-reported through the rational delta^2.
+mu*, and the state is a delta-form exactly when mu mu* is a scalar.  By
+Banica ("Symmetries of a generic coaction", Math. Ann. 314, 1999) mu mu*
+acts on block i as the scalar Tr(Q_i^-1), so `is_delta_form` compares these
+block values; `mu_mu_star` builds the full operator and is the second route.
+All arithmetic is over complex numbers with rational real and imaginary
+parts, so "scalar" versus "not scalar" is an exact distinction; delta itself
+is reported through the rational delta^2.
 """
 
 from __future__ import annotations
@@ -79,9 +82,6 @@ class ComplexRational:
 
     def is_real(self) -> bool:
         return self.im == 0
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
 
     def __str__(self) -> str:
         if self.im == 0:
@@ -163,14 +163,6 @@ def qc_char_coefficients(a: QCMatrix) -> list[Fraction]:
     return elementary
 
 
-def qc_is_positive_definite(a: QCMatrix) -> bool:
-    return qc_is_hermitian(a) and all(c > 0 for c in qc_char_coefficients(a))
-
-
-def qc_is_positive_semidefinite(a: QCMatrix) -> bool:
-    return qc_is_hermitian(a) and all(c >= 0 for c in qc_char_coefficients(a))
-
-
 # ---------------------------------------------------------------------------
 # Algebras and states
 # ---------------------------------------------------------------------------
@@ -204,12 +196,13 @@ class AlgState:
 
     Densities must be Hermitian positive semidefinite with total trace one.
     The state is faithful exactly when every block is positive definite.
+    `char_coefficients[i]` holds e_1..e_k of the spectrum of Q_i.
     """
 
     def __init__(self, algebra: FinDimAlgebra, density: Sequence[QCMatrix]):
         if len(density) != algebra.block_sizes.n:
             raise StateFormatError("one density block per matrix block required")
-        blocks = []
+        blocks, coefficients = [], []
         total = Fraction(0)
         for size, q in zip(algebra.block_sizes, density):
             q = [[qc(x) if not isinstance(x, ComplexRational) else x for x in row] for row in q]
@@ -217,16 +210,19 @@ class AlgState:
                 raise StateFormatError(f"density block must be {size}x{size}")
             if not qc_is_hermitian(q):
                 raise StateFormatError("density block is not Hermitian")
-            if not qc_is_positive_semidefinite(q):
+            elementary = qc_char_coefficients(q)
+            if any(c < 0 for c in elementary):
                 raise StateFormatError("density block is not positive semidefinite")
             for i in range(size):
                 total += q[i][i].re
             blocks.append(q)
+            coefficients.append(elementary)
         if total != 1:
             raise StateFormatError(f"total trace is {total}, expected 1")
         self.algebra = algebra
         self.density = blocks
-        self.faithful = all(qc_is_positive_definite(q) for q in blocks)
+        self.char_coefficients = coefficients
+        self.faithful = all(c > 0 for elementary in coefficients for c in elementary)
 
     @classmethod
     def commutative(cls, weights: Sequence) -> "AlgState":
@@ -241,18 +237,24 @@ class AlgState:
         return cls.commutative([Fraction(1, n)] * n)
 
     @classmethod
+    def _scalar_blocks(cls, algebra: FinDimAlgebra, scalars: Sequence[Fraction]) -> "AlgState":
+        """The state with Q_i = scalars[i] * I on each block."""
+        density = [
+            [[qc(s) if i == j else QC_ZERO for j in range(size)] for i in range(size)]
+            for size, s in zip(algebra.block_sizes, scalars)
+        ]
+        return cls(algebra, density)
+
+    @classmethod
     def trace_state(cls, algebra: FinDimAlgebra) -> "AlgState":
         """The tracial state Tr / Tr(1); on M_k this is the normalized trace."""
         total = sum(algebra.block_sizes)
-        density = []
-        for size in algebra.block_sizes:
-            density.append(
-                [
-                    [qc(Fraction(1, total)) if i == j else QC_ZERO for j in range(size)]
-                    for i in range(size)
-                ]
-            )
-        return cls(algebra, density)
+        return cls._scalar_blocks(algebra, [Fraction(1, total)] * algebra.block_sizes.n)
+
+    @classmethod
+    def canonical(cls, algebra: FinDimAlgebra) -> "AlgState":
+        """The canonical delta-form Q_i = (k_i / sum k^2) I, with delta^2 = sum k_i^2."""
+        return cls._scalar_blocks(algebra, [Fraction(size, algebra.dim) for size in algebra.block_sizes])
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +345,7 @@ def mu_mu_star(algebra: FinDimAlgebra, state: AlgState) -> QCMatrix:
 class DeltaFormResult:
     is_delta_form: bool
     delta_squared: Fraction | None
-    witness: tuple[tuple[int, int, int], ComplexRational, ComplexRational] | None
+    witness: tuple[int, ComplexRational, ComplexRational] | None
 
     @property
     def delta(self) -> float | None:
@@ -365,19 +367,23 @@ class DeltaFormResult:
 def is_delta_form(algebra: FinDimAlgebra, state: AlgState) -> DeltaFormResult:
     """Decide whether the state is a delta-form: mu mu* = delta^2 id.
 
-    On success the exact rational delta^2 is returned; otherwise the witness
-    records a basis label where scalarity fails, with the observed and
-    expected diagonal values.
+    mu mu* acts on block i as the scalar t_i = Tr(Q_i^-1) (Banica 1999),
+    read off the characteristic coefficients as e_{k-1}(Q_i) / e_k(Q_i).
+    The state is a delta-form exactly when every t_i equals t_0, and then
+    delta^2 = t_0.  Otherwise the witness is (i, t_i, t_0) for the first
+    block i that differs.
     """
-    p = mu_mu_star(algebra, state)
-    labels = algebra.basis_labels()
-    dim = len(labels)
-    lam = p[0][0]
-    for x in range(dim):
-        for y in range(dim):
-            expected = lam if x == y else QC_ZERO
-            if p[x][y] != expected:
-                return DeltaFormResult(False, None, (labels[y], p[x][y], expected))
-    if not lam.is_real() or lam.re <= 0:
+    _require_faithful(state)
+    if state.algebra.block_sizes != algebra.block_sizes:
+        raise StateFormatError("state does not live on this algebra")
+    traces = [
+        (elementary[-2] if len(elementary) > 1 else 1) / elementary[-1]
+        for elementary in state.char_coefficients
+    ]
+    lam = traces[0]
+    for block, t in enumerate(traces):
+        if t != lam:
+            return DeltaFormResult(False, None, (block, qc(t), qc(lam)))
+    if lam <= 0:
         raise StateFormatError(f"mu mu* scalar {lam} is not a positive rational")
-    return DeltaFormResult(True, lam.re, None)
+    return DeltaFormResult(True, lam, None)

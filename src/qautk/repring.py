@@ -193,12 +193,6 @@ class RepRingElement:
             raise ParityMismatchError("cannot add elements of different parity")
         return RepRingElement(self.parity, _merge(self.coefficients + other.coefficients))
 
-    def negate(self) -> "RepRingElement":
-        return RepRingElement(self.parity, tuple((k, -c) for k, c in self.coefficients))
-
-    def subtract(self, other: "RepRingElement") -> "RepRingElement":
-        return self.add(other.negate())
-
     def multiply(self, other: "RepRingElement") -> "RepRingElement":
         """Product; two half-integral factors contract by t^(1/2) t^(1/2) = t."""
         acc: dict[int, int] = {}

@@ -649,24 +649,27 @@ def extract_torsion_data(b: GradedAlgebra) -> tuple[FiniteGroup, Cocycle]:
             )
         lam[s] = value
 
+    # one inverse per support element, of its rep's single coefficient and of lam
+    inv_rep = {s: [(idx, c.inverse()) for idx, c in reps[s].items()][0] for s in support}
+    inv_lam = {s: value.inverse() for s, value in lam.items()}
+
     m_big = 2 * (b.root_order if b.root_order % 2 == 0 else 2 * b.root_order)
     table = [[0] * len(support) for _ in support]
     for s in support:
         for t in support:
             st = g.mul(s, t)
             prod = b.multiply_vectors(reps[s], reps[t])
-            target = reps[st]
-            ((tgt_idx, tgt_coeff),) = tuple(target.items())
+            tgt_idx, inv_coeff = inv_rep[st]
             gamma = prod.get(tgt_idx)
             if gamma is None:
                 raise TorsionExtractionError(
                     f"product of components {g.label(s)}, {g.label(t)} vanishes"
                 )
-            gamma = gamma / tgt_coeff
+            gamma = gamma * inv_coeff
             # omega = gamma * sqrt(lam_st / (lam_s lam_t)) must be a root of
             # unity; its square zeta^j is read off exactly, which leaves the
             # two square roots zeta^(j/2) and -zeta^(j/2) for the sign test
-            j = (gamma * gamma * lam[st] / (lam[s] * lam[t])).lift(m_big).root_exponent()
+            j = (gamma * gamma * lam[st] * inv_lam[s] * inv_lam[t]).lift(m_big).root_exponent()
             matches = []
             if j is not None and j % 2 == 0:
                 for a in (j // 2, j // 2 + m_big // 2):

@@ -113,7 +113,7 @@ def test_delta_form_reject_with_witness(capsys, tmp_path):
     code, payload = run_json(capsys, "delta-form", "--algebra", str(path))
     assert code == 1
     assert payload["results"]["is_delta_form"] is False
-    assert "witness" in payload["results"]
+    assert payload["results"]["witness"] == {"block": 1, "observed": "3/2", "expected": "3"}
 
 
 def test_delta_form_matrix_block_with_complex(capsys, tmp_path):
@@ -351,3 +351,36 @@ def test_scope_warning_surfaces(capsys):
     assert code == 0
     assert payload["warnings"]
     assert "below 4" in payload["warnings"][0]
+
+
+def test_sweep_checks_canonical_delta_form(capsys, monkeypatch):
+    import qautk.cli as cli
+
+    seen = []
+    derive = cli.derive_t_action
+
+    def spy(k, test):
+        seen.append(test)
+        return derive(k, test)
+
+    monkeypatch.setattr("qautk.cli.derive_t_action", spy)
+    code, payload = run_json(
+        capsys, "sweep", "--max-n", "4", "--max-k", "5", "--samples", "6", "--seed", "3",
+        "--skip-resolution",
+    )
+    assert code == 0 and payload["results"]["all_passed"] is True
+    assert seen == ["C"] * 6
+
+
+def test_sweep_records_delta_form_mismatch(capsys, monkeypatch):
+    from qautk.dims import random_dim_vectors
+
+    monkeypatch.setattr("qautk.cli.derive_t_action", lambda k, test: k.algebra_dim + 1)
+    code, payload = run_json(
+        capsys, "sweep", "--max-n", "3", "--max-k", "4", "--samples", "3", "--seed", "5",
+        "--skip-resolution",
+    )
+    assert code == 1
+    assert payload["results"]["failures"] == [
+        {"dims": str(dims), "stage": "delta-form"} for dims in random_dim_vectors(3, 3, 4, seed=5)
+    ]

@@ -17,8 +17,8 @@ from qautk.findim import (
     qc,
     qc_conj_transpose,
     qc_identity,
-    qc_is_positive_definite,
-    qc_is_positive_semidefinite,
+    qc_char_coefficients,
+    qc_is_hermitian,
     qc_matmul,
 )
 
@@ -47,7 +47,8 @@ def test_gram_positive_definite():
         [ComplexRational.of(0, Fraction(-1, 16)), qc(Fraction(1, 4))],
     ]
     state = AlgState(alg, [q, [[qc(Fraction(1, 2))]]])
-    assert qc_is_positive_definite(gns_gram(alg, state))
+    g = gns_gram(alg, state)
+    assert qc_is_hermitian(g) and all(c > 0 for c in qc_char_coefficients(g))
 
 
 def test_mu_mu_star_commutative_weights_oracle():
@@ -99,7 +100,7 @@ def test_mu_mu_star_gns_self_adjoint_positive():
     p = mu_mu_star(alg, state)
     gp = qc_matmul(g, p)
     assert gp == qc_conj_transpose(gp)
-    assert qc_is_positive_semidefinite(gp)
+    assert all(c >= 0 for c in qc_char_coefficients(gp))
 
 
 def test_delta_form_uniform():
@@ -115,9 +116,10 @@ def test_delta_form_rejection_with_witness():
     )
     assert not res.is_delta_form
     assert res.witness is not None
-    label, observed, expected = res.witness
+    block, observed, expected = res.witness
     assert observed != expected
     assert observed in (qc(3), qc(Fraction(3, 2)))
+    assert (block, observed, expected) == (1, qc(Fraction(3, 2)), qc(3))
 
 
 def test_delta_form_matrix_block():
@@ -191,3 +193,101 @@ def test_non_faithful_rejected():
         gns_gram(alg, state)
     with pytest.raises(NonFaithfulStateError):
         mu_mu_star(alg, state)
+
+
+def _givens(size, p, q):
+    # the rational unitary [[3/5, 4i/5], [4i/5, 3/5]] on coordinates p, q
+    g = qc_identity(size)
+    g[p][p] = g[q][q] = qc(Fraction(3, 5))
+    g[p][q] = g[q][p] = ComplexRational.of(0, Fraction(4, 5))
+    return g
+
+
+def _random_state(rng, accept):
+    """A faithful state on 1-3 blocks of size <= 3, dimension <= 14, with
+    rotated densities.
+
+    Each block starts from a random positive diagonal D_i.  When `accept`,
+    block i is scaled so that Tr(Q_i^-1) is the same on every block; the
+    rotations keep the spectrum, so the state is a delta-form.  Otherwise
+    there are at least two blocks and the values agree only by chance.
+    """
+    sizes = [3, 3, 3]
+    while sum(k * k for k in sizes) > 14:  # mu_mu_star costs about dim^5
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(1 if accept else 2, 3))]
+    spectra = [[Fraction(rng.randint(1, 9)) for _ in range(k)] for k in sizes]
+    if accept:
+        spectra = [[x * sum(1 / y for y in sp) for x in sp] for sp in spectra]
+    total = sum(sum(sp) for sp in spectra)
+    density = []
+    for k, sp in zip(sizes, spectra):
+        q = [[qc(sp[i] / total) if i == j else QC_ZERO for j in range(k)] for i in range(k)]
+        for _ in range(k - 1):
+            p, r = rng.sample(range(k), 2)
+            g = _givens(k, p, r)
+            q = qc_matmul(qc_matmul(g, q), qc_conj_transpose(g))
+        density.append(q)
+    alg = FinDimAlgebra.of(*sizes)
+    return alg, AlgState(alg, density)
+
+
+def test_block_rule_against_mu_mu_star():
+    # mu_mu_star is the second route: the block rule must agree with the
+    # full operator on acceptance, delta^2 and the witness block's diagonal
+    rng = random.Random(11)
+    accepted = rotated = 0
+    for case in range(40):
+        alg, state = _random_state(rng, accept=case % 2 == 0)
+        rotated += any(x.im != 0 for q in state.density for row in q for x in row)
+        res = is_delta_form(alg, state)
+        p = mu_mu_star(alg, state)
+        lam = p[0][0]
+        dim = alg.dim
+        scalar = all(p[x][y] == (lam if x == y else QC_ZERO) for x in range(dim) for y in range(dim))
+        assert res.is_delta_form == scalar
+        if case % 2 == 0:
+            assert res.is_delta_form
+        if res.is_delta_form:
+            accepted += 1
+            assert qc(res.delta_squared) == lam
+        else:
+            block, observed, expected = res.witness
+            assert expected == lam and observed != expected
+            for x, (b, _, _) in enumerate(alg.basis_labels()):
+                if b == block:
+                    assert p[x][x] == observed
+    assert 16 <= accepted <= 26
+    assert rotated >= 20
+
+
+def test_is_delta_form_reaches_neither_oracle(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("is_delta_form must not build the GNS operator")
+
+    monkeypatch.setattr("qautk.findim.mu_mu_star", forbidden)
+    monkeypatch.setattr("qautk.findim.gns_gram", forbidden)
+    alg, state = _random_state(random.Random(3), accept=True)
+    assert is_delta_form(alg, state).is_delta_form
+    res = is_delta_form(FinDimAlgebra.of(1, 1), AlgState.commutative([Fraction(1, 3), Fraction(2, 3)]))
+    assert not res.is_delta_form
+
+
+def test_is_delta_form_checks_algebra_and_faithfulness():
+    state = AlgState.trace_state(FinDimAlgebra.of(2))
+    with pytest.raises(StateFormatError):
+        is_delta_form(FinDimAlgebra.of(1, 1), state)
+    alg = FinDimAlgebra.of(2, 1)
+    singular = AlgState(alg, [[[qc(Fraction(1, 2)), QC_ZERO], [QC_ZERO, QC_ZERO]], [[qc(Fraction(1, 2))]]])
+    assert not singular.faithful
+    with pytest.raises(NonFaithfulStateError):
+        is_delta_form(alg, singular)
+
+
+def test_canonical_state_is_delta_form():
+    for sizes in [(1,), (2,), (2, 3), (1, 2, 4), (3, 3, 3), (2, 3, 4, 5)]:
+        alg = FinDimAlgebra.of(*sizes)
+        state = AlgState.canonical(alg)
+        for k, q in zip(sizes, state.density):
+            assert q == [[qc(Fraction(k, alg.dim)) if i == j else QC_ZERO for j in range(k)] for i in range(k)]
+        res = is_delta_form(alg, state)
+        assert res.is_delta_form and res.delta_squared == sum(k * k for k in sizes)

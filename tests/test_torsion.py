@@ -415,6 +415,22 @@ def test_roundtrip_nontrivial_classes():
         assert regular_class_count(omega_out) == regular_class_count(omega_in)
 
 
+def test_extract_inverts_once_per_support_element(monkeypatch):
+    # the pair loop multiplies by precomputed inverses and divides nowhere
+    algebra = twisted_group_algebra(Cocycle.bilinear_on_product(4, 4))
+    expected = extract_torsion_data(algebra)
+    calls = []
+    inverse = Cyclotomic.inverse
+
+    def counting(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(Cyclotomic, "inverse", counting)
+    assert extract_torsion_data(algebra) == expected
+    assert len(calls) <= 2 * algebra.group.order + 1
+
+
 # -- block decomposition edge cases --------------------------------------------
 
 def test_non_semisimple_rejected_with_witness():
