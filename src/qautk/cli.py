@@ -11,6 +11,7 @@ beyond 2^53 become decimal strings and rationals are "p/q" strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -228,6 +229,9 @@ def _cmd_resolution_check(args):
             "degree_bound": report.degree_bound,
             "certified_degree": report.certified_degree,
         }
+        if report.uncovered is not None:
+            degree, slot = report.uncovered
+            results[test]["uncovered"] = {"degree": degree, "slot": slot}
         for w in report.warnings:
             if w not in warnings:
                 warnings.append(w)
@@ -470,7 +474,10 @@ def _cmd_sweep(args):
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process.  Parsing leaves it unchanged: every
+    call gets a fresh namespace, and no default is a mutable object."""
     parser = argparse.ArgumentParser(
         prog="qautk",
         description=(

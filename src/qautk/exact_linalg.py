@@ -3,7 +3,9 @@
 Smith normal form with unimodular transformation matrices, row Hermite
 normal form, integer kernels and cokernels, and finitely generated abelian
 groups in invariant-factor form, all on Python's arbitrary-precision
-integers, so no operation can overflow.  One Gauss-Jordan elimination serves
+integers, so no operation can overflow.  The Hermite engine and the lattice
+membership test work on sparse rows (column -> nonzero entry), since the
+lattices they serve are mostly zeros.  One Gauss-Jordan elimination serves
 every exact field the library uses: rationals, Gaussian rationals and
 cyclotomic fields.
 """
@@ -70,11 +72,8 @@ class IntMatrix:
         return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
+        e, c = self.entries, self.cols
+        return IntMatrix(c, self.rows, tuple(x for j in range(c) for x in e[j::c]))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -384,53 +383,69 @@ class HermiteDecomposition:
         return len(self.pivot_cols)
 
 
-def _hnf_engine(m, rows, cols):
+def _sparse(row: Sequence[int]) -> dict[int, int]:
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def _axpy(row: dict[int, int], q: int, pivot_row: dict[int, int]) -> None:
+    """row += q * pivot_row on sparse rows, in place; q must be nonzero."""
+    for j, x in pivot_row.items():
+        y = row.get(j, 0) + q * x
+        if y:
+            row[j] = y
+        else:
+            del row[j]
+
+
+def _hnf_engine(m: list[dict[int, int]], cols: int) -> tuple[list[dict[int, int]], list[int]]:
+    """Row Hermite normal form of sparse rows, in place.
+
+    Each row maps a column to its nonzero entry.  Column by column, Euclid
+    runs down the column (pivot: the first row of least absolute value),
+    then the entries above the pivot are reduced into [0, pivot).  Rows at
+    or below the current pivot are zero left of the column, so a row
+    operation is an ``_axpy`` over the pivot row's nonzero entries.
+    Returns the rows (the nonzero ones first) and the pivot columns.
+    """
+    rows = len(m)
     pivot_cols = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        # Euclid down the column until a single nonzero entry remains
-        while True:
-            best = 0
-            pi = -1
-            for i in range(r, rows):
-                e = m[i][c]
-                if e:
-                    if e < 0:
-                        e = -e
-                    if best == 0 or e < best:
-                        best, pi = e, i
-            if pi < 0:
-                break
-            if pi != r:
-                m[r], m[pi] = m[pi], m[r]
-            if m[r][c] < 0:
-                _negate_row(m, r)
-            piv = m[r][c]
-            done = True
-            for i in range(r + 1, rows):
-                a = m[i][c]
-                if not a:
-                    continue
-                q = a // piv
-                mi, mr = m[i], m[r]
-                for j in range(c, cols):
-                    mi[j] -= q * mr[j]
-                if mi[c]:
-                    done = False
-            if done:
-                break
-        if pi < 0:
+        # rows at or below r with a nonzero entry in column c, in order
+        live = [i for i in range(r, rows) if c in m[i]]
+        if not live:
             continue
-        piv = m[r][c]
+        pi = min(live, key=lambda i: abs(m[i][c]))
+        m[r], m[pi] = m[pi], m[r]
+        if live[0] != r:
+            # a row that is zero in column c went down to pi
+            live = [r] + [i for i in live if i != pi]
+        while True:
+            mr = m[r]
+            if mr[c] < 0:
+                m[r] = mr = {j: -x for j, x in mr.items()}
+            piv = mr[c]
+            below = []
+            for i in live[1:]:
+                mi = m[i]
+                _axpy(mi, -(mi[c] // piv), mr)
+                if c in mi:
+                    below.append(i)
+            if not below:
+                break
+            live = [r] + below
+            # Euclid: the least remainder is below the pivot
+            pi = min(below, key=lambda i: abs(m[i][c]))
+            m[r], m[pi] = m[pi], m[r]
         for i in range(r):
-            a = m[i][c]
-            q = a // piv
-            if q:
-                mi, mr = m[i], m[r]
-                for j in range(c, cols):
-                    mi[j] -= q * mr[j]
+            mi = m[i]
+            a = mi.get(c)
+            if a:
+                q = a // piv
+                if q:
+                    _axpy(mi, -q, mr)
         pivot_cols.append(c)
         r += 1
     return m, pivot_cols
@@ -438,50 +453,58 @@ def _hnf_engine(m, rows, cols):
 
 def hermite_normal_form(A: IntMatrix) -> HermiteDecomposition:
     """Row Hermite normal form."""
-    m, pivots = _hnf_engine(A.to_lists(), A.rows, A.cols)
+    m, pivots = _hnf_engine([_sparse(A.row(i)) for i in range(A.rows)], A.cols)
     return HermiteDecomposition(
-        H=IntMatrix.from_rows(m) if A.rows else IntMatrix(0, A.cols, ()),
+        H=IntMatrix(A.rows, A.cols, tuple(row.get(j, 0) for row in m for j in range(A.cols))),
         pivot_cols=tuple(pivots),
     )
 
 
 class LatticeBasis:
-    """Echelonized basis of the row lattice of a matrix, for membership tests."""
+    """Hermite basis of the row lattice of a matrix, for membership tests.
+
+    ``basis`` holds the nonzero Hermite rows, sparse (column -> nonzero
+    entry), in the order of ``pivot_cols``.
+    """
 
     def __init__(self, A: IntMatrix):
-        m, pivots = _hnf_engine(A.to_lists(), A.rows, A.cols)
-        self.cols = A.cols
-        self.pivot_cols = tuple(pivots)
-        self.basis = [m[i] for i in range(len(pivots))]
+        self._reduce([_sparse(A.row(i)) for i in range(A.rows)], A.cols)
 
     @classmethod
     def from_rows(cls, rows: list[list[int]], cols: int) -> "LatticeBasis":
         """Build from raw generator rows without IntMatrix overhead."""
         self = cls.__new__(cls)
-        work = [row[:] for row in rows]
-        m, pivots = _hnf_engine(work, len(work), cols)
+        self._reduce([_sparse(row) for row in rows], cols)
+        return self
+
+    def _reduce(self, rows: list[dict[int, int]], cols: int) -> None:
+        m, pivots = _hnf_engine(rows, cols)
         self.cols = cols
         self.pivot_cols = tuple(pivots)
-        self.basis = [m[i] for i in range(len(pivots))]
-        return self
+        self.basis = m[: len(pivots)]
+        self._by_pivot = dict(zip(pivots, self.basis))
 
     @property
     def rank(self) -> int:
         return len(self.pivot_cols)
 
     def contains(self, vector: Sequence[int]) -> bool:
+        """Reduce the vector's leading entry against the basis row with that
+        pivot until nothing is left; it fails at a non-pivot leading column
+        or an entry the pivot does not divide."""
         if len(vector) != self.cols:
             raise MatrixFormatError("vector length does not match lattice ambient")
-        w = list(vector)
-        for row, c in zip(self.basis, self.pivot_cols):
-            a = w[c]
-            if a % row[c]:
+        w = _sparse(vector)
+        while w:
+            c = min(w)
+            row = self._by_pivot.get(c)
+            if row is None:
                 return False
-            q = a // row[c]
-            if q:
-                for j in range(c, self.cols):
-                    w[j] -= q * row[j]
-        return not any(w)
+            q, rem = divmod(w[c], row[c])
+            if rem:
+                return False
+            _axpy(w, -q, row)
+        return True
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .dims import DimVector
-from .exact_linalg import IntMatrix, LatticeBasis, invariant_factors, kernel_basis, _row_reduce
+from .exact_linalg import IntMatrix, LatticeBasis, invariant_factors, _row_reduce
 from .repring import HALF_INTEGRAL, INTEGRAL, RepRingElement
 
 TEST_TRIVIAL = "C"
@@ -111,13 +111,19 @@ class ExactnessReport:
     test_object: str
     degree_bound: int
     d1_injective: bool
-    kernel_covered: bool
+    # (degree, slot) of the first vector of the shift basis of ker d0 that
+    # is not in the image of d1; None when the kernel is covered
+    uncovered: tuple[int, int] | None
     d0_surjective: bool
     warnings: tuple[str, ...]
 
     @property
     def certified_degree(self) -> int:
         return self.degree_bound - 1
+
+    @property
+    def kernel_covered(self) -> bool:
+        return self.uncovered is None
 
     @property
     def exact(self) -> bool:
@@ -281,6 +287,63 @@ def _truncated_d0(ev: EvaluationMap, degree: int) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
+def _unit_slots(ev: EvaluationMap) -> list[int]:
+    """For each target coordinate i, the first slot whose degree-0 image is
+    the unit vector e_i."""
+    units: dict[int, int] = {}
+    for s, img in enumerate(ev.slot_images):
+        support = [i for i, x in enumerate(img) if x]
+        if len(support) == 1 and img[support[0]] == 1:
+            units.setdefault(support[0], s)
+    for i in range(ev.target_rank):
+        if i not in units:
+            raise InconsistentComplexError(f"no slot evaluates to the unit vector e_{i}")
+    return [units[i] for i in range(ev.target_rank)]
+
+
+def _shift_kernel_basis(ev: EvaluationMap, degree: int) -> list[tuple[tuple[int, int], list[int]]]:
+    """A lattice basis of the kernel of ``_truncated_d0(ev, degree)``.
+
+    Write e_{s,m} for the basis element of slot s in degree m, which d0 sends
+    to T^m img_s, and p(i) for the unit slot of coordinate i (img_p(i) = e_i,
+    see ``_unit_slots``).  The basis is
+
+        e_{s,0} - sum_i img_s[i] e_{p(i),0}           for s not a unit slot,
+        e_{s,m} - sum_i (T img_s)[i] e_{p(i),m-1}     for every s, 1 <= m <= degree.
+
+    Each lies in ker d0: d0 sends the first form to img_s - img_s = 0 and the
+    second to T^m img_s - T^(m-1) (T img_s) = 0.  Call (s, m)
+    the lead of its vector; the leads are every coordinate except the r
+    coordinates (p(i), 0), and each vector is 1 at its lead and otherwise
+    nonzero only in degree m - 1 or at the (p(i), 0).  Given x in ker d0,
+    subtract x_{s,m} times the vector with lead (s, m), from the top degree
+    down; no later step changes a lead already cleared, so what is left is
+    y = sum_i y_i e_{p(i),0} with 0 = d0 y = (y_i), so y = 0.  Hence every
+    kernel element is an integer combination of these vectors, which are
+    independent because they are unitriangular on their leads: a basis of
+    the whole saturated kernel, with (degree + 1)(n + 1) - r vectors.
+
+    Returns ((degree, slot), vector) pairs, degree-major like the columns of
+    ``_truncated_d0``, each vector dense of length (degree + 1)(n + 1).
+    Raises InconsistentComplexError when some coordinate has no unit slot.
+    """
+    units = _unit_slots(ev)
+    nslots = len(ev.slot_images)
+    shifted = [ev.t_power_images(s, 1)[1] for s in range(nslots)]
+    out = []
+    for m in range(degree + 1):
+        for s in range(nslots):
+            if m == 0 and s in units:
+                continue
+            coeffs, base = (ev.slot_images[s], 0) if m == 0 else (shifted[s], (m - 1) * nslots)
+            vec = [0] * ((degree + 1) * nslots)
+            vec[m * nslots + s] = 1
+            for i, c in enumerate(coeffs):
+                vec[base + units[i]] -= c
+            out.append(((m, s), vec))
+    return out
+
+
 def check_exactness(
     k: DimVector, test_object: str, degree_bound: int = DEFAULT_DEGREE_BOUND
 ) -> ExactnessReport:
@@ -290,7 +353,10 @@ def check_exactness(
     (a) d1 has trivial kernel, (b) every kernel element of d0 of degree
     <= degree_bound - 1 is the image of an element of degree <= degree_bound
     under d1, and (c) d0 maps onto the full target lattice.  The maps raise
-    degree by at most one, so the one-degree buffer suffices for (b).
+    degree by at most one, so the one-degree buffer suffices for (b).  (b) is
+    decided on the basis of ``_shift_kernel_basis``, each vector tested for
+    membership in the Hermite lattice of the image; the report names the
+    first vector that fails.
     """
     _check_test_object(test_object)
     if degree_bound < 2:
@@ -298,18 +364,15 @@ def check_exactness(
     d1, ev = build_complex(k, test_object)
     nslots = len(ev.slot_images)
 
+    tgt_len = (degree_bound + 2) * nslots
     d1_cols = _truncated_d1_columns(d1, degree_bound)
-    image = LatticeBasis.from_rows(d1_cols, (degree_bound + 2) * nslots)
+    image = LatticeBasis.from_rows(d1_cols, tgt_len)
     injective = image.rank == len(d1_cols)
 
-    d0_small = _truncated_d0(ev, degree_bound - 1)
-    kernel = kernel_basis(d0_small)
-    tgt_len = (degree_bound + 2) * nslots
-    covered = True
-    for vec in kernel:
-        padded = list(vec) + [0] * (tgt_len - len(vec))
-        if not image.contains(padded):
-            covered = False
+    uncovered = None
+    for label, vec in _shift_kernel_basis(ev, degree_bound - 1):
+        if not image.contains(vec + [0] * (tgt_len - len(vec))):
+            uncovered = label
             break
 
     d0_full = _truncated_d0(ev, degree_bound)
@@ -328,7 +391,7 @@ def check_exactness(
         test_object=test_object,
         degree_bound=degree_bound,
         d1_injective=injective,
-        kernel_covered=covered,
+        uncovered=uncovered,
         d0_surjective=surjective,
         warnings=warnings,
     )

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import qautk
+from qautk import cli
 from qautk.cli import main
 
 
@@ -384,3 +385,30 @@ def test_sweep_records_delta_form_mismatch(capsys, monkeypatch):
     assert payload["results"]["failures"] == [
         {"dims": str(dims), "stage": "delta-form"} for dims in random_dim_vectors(3, 3, 4, seed=5)
     ]
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    # --max-n exists on both subcommands with different defaults (7 and 5)
+    argvs = [
+        ["magic-rank", "--n", "3", "--max-n", "4"],
+        ["sweep", "--samples", "2", "--seed", "3", "--skip-resolution"],
+        ["magic-rank", "--n", "3"],
+        ["resolution-check", "--dims", "2", "--test", "A", "--degree", "5"],
+        ["resolution-check", "--dims", "2"],
+    ]
+
+    def payload(argv):
+        code, out = run(capsys, *argv, "--json")
+        data = json.loads(out)
+        del data["elapsed_seconds"]
+        return code, data
+
+    reused = [payload(argv) for argv in argvs]
+    assert cli._build_parser() is cli._build_parser()
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(payload(argv))
+    assert reused == fresh
+    assert reused[2][1]["inputs"]["max_n"] == 7
+    assert reused[4][1]["inputs"] == {"dims": "2", "test": "both", "degree": 12}

@@ -240,6 +240,89 @@ def test_hermite_normal_form():
             assert minor_gcds(a)[rank - 1] == minor_gcds(h)[rank - 1]
 
 
+def dense_hnf(a: IntMatrix):
+    """Reference row Hermite normal form on dense rows: Euclid down each
+    column with the first row of least absolute value as pivot, then the
+    entries above the pivot reduced into [0, pivot)."""
+    m, rows, cols = a.to_lists(), a.rows, a.cols
+    pivot_cols = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        while True:
+            nonzero = [i for i in range(r, rows) if m[i][c]]
+            if not nonzero:
+                break
+            pi = min(nonzero, key=lambda i: abs(m[i][c]))
+            m[r], m[pi] = m[pi], m[r]
+            if m[r][c] < 0:
+                m[r] = [-x for x in m[r]]
+            piv = m[r][c]
+            for i in range(r + 1, rows):
+                q = m[i][c] // piv
+                m[i] = [x - q * y for x, y in zip(m[i], m[r])]
+            if not any(m[i][c] for i in range(r + 1, rows)):
+                break
+        if not any(m[i][c] for i in range(r, rows)):
+            continue
+        for i in range(r):
+            q = m[i][c] // m[r][c]
+            m[i] = [x - q * y for x, y in zip(m[i], m[r])]
+        pivot_cols.append(c)
+        r += 1
+    return m, pivot_cols
+
+
+def dense_contains(h, pivots, vector):
+    """Reference membership test: reduce by each Hermite row in turn."""
+    w = list(vector)
+    for row, c in zip(h, pivots):
+        q, rem = divmod(w[c], row[c])
+        if rem:
+            return False
+        w = [x - q * y for x, y in zip(w, row)]
+    return not any(w)
+
+
+def test_hermite_normal_form_matches_dense_reference():
+    rng = random.Random(2024)
+    for trial in range(120):
+        if trial % 2:
+            a = random_matrix(rng, max_dim=7)
+        else:
+            # larger and mostly zero, like the truncated resolution maps
+            rows, cols = rng.randint(1, 24), rng.randint(1, 24)
+            a = IntMatrix(rows, cols, tuple(
+                rng.randint(-30, 30) if rng.random() < 0.15 else 0 for _ in range(rows * cols)
+            ))
+        m, pivots = dense_hnf(a)
+        dec = hermite_normal_form(a)
+        assert dec.H.to_lists() == m
+        assert dec.pivot_cols == tuple(pivots)
+        lat = LatticeBasis(a)
+        assert lat.pivot_cols == dec.pivot_cols
+        assert [[row.get(j, 0) for j in range(a.cols)] for row in lat.basis] == m[: len(pivots)]
+        assert all(x for row in lat.basis for x in row.values())  # stored sparse
+        assert LatticeBasis.from_rows(a.to_lists(), a.cols).basis == lat.basis
+        # membership: integer combinations of the rows, some perturbed in one entry
+        for _ in range(10):
+            v = [sum(rng.randint(-2, 2) * x for x in col) for col in zip(*a.to_lists())] or [0] * a.cols
+            if a.cols and rng.random() < 0.5:
+                v[rng.randrange(a.cols)] += rng.randint(1, 3)
+            assert lat.contains(v) == dense_contains(m, pivots, v)
+
+
+def test_transpose_matches_entrywise_definition():
+    rng = random.Random(5)
+    for _ in range(30):
+        a = random_matrix(rng, max_dim=7)
+        t = a.transpose()
+        assert (t.rows, t.cols) == (a.cols, a.rows)
+        assert t.entries == tuple(a.at(i, j) for j in range(a.cols) for i in range(a.rows))
+        assert t.transpose() == a
+
+
 def test_lattice_membership():
     a = IntMatrix.from_rows([[2, 0], [0, 3]])
     lat = LatticeBasis(a.transpose())
@@ -247,6 +330,12 @@ def test_lattice_membership():
     assert lat.contains((4, 0))
     assert not lat.contains((1, 0))
     assert not lat.contains((0, 1))
+    # a leading entry in a column without a pivot
+    line = LatticeBasis(IntMatrix.from_rows([[1, 1, 0], [2, 2, 0]]))
+    assert line.pivot_cols == (0,)
+    assert line.contains((3, 3, 0))
+    assert not line.contains((0, 1, 0))
+    assert not line.contains((1, 1, 1))
     # membership agrees with brute force on random small lattices
     rng = random.Random(3)
     for _ in range(40):

@@ -1,17 +1,24 @@
+import json
 import random
 
 import pytest
 
+from qautk import cli, resolution
 from qautk.dims import DimVector
+from qautk.exact_linalg import LatticeBasis, kernel_basis
 from qautk.repring import HALF_INTEGRAL, INTEGRAL, RepRingElement
 from qautk.resolution import (
     TEST_ALGEBRA,
     TEST_OBJECTS,
     TEST_TRIVIAL,
+    EvaluationMap,
+    InconsistentComplexError,
     _d1_matrix,
     _differential,
     _row_parities,
+    _shift_kernel_basis,
     _source_generators,
+    _truncated_d0,
     build_complex,
     check_exactness,
     derive_t_action,
@@ -215,3 +222,75 @@ def test_scope_warning_for_small_algebras():
     assert report.exact
     assert report.warnings and "below 4" in report.warnings[0]
     assert check_exactness(DimVector.of(2), TEST_TRIVIAL, 6).warnings == ()
+
+
+def test_shift_basis_against_smith_kernel():
+    # kernel_basis (Smith with V) is the second route to ker d0
+    rng = random.Random(9)
+    for trial in range(24):
+        n = rng.randint(1, 6)
+        dims = DimVector(tuple(rng.randint(1, 9) for _ in range(n)))
+        degree_bound = 2 + trial % 9
+        for test in TEST_OBJECTS:
+            _, ev = build_complex(dims, test)
+            d0 = _truncated_d0(ev, degree_bound - 1)
+            shift = [vec for _, vec in _shift_kernel_basis(ev, degree_bound - 1)]
+            smith = [list(v) for v in kernel_basis(d0)]
+            assert len(shift) == len(smith) == d0.cols - ev.target_rank
+            for vec in shift:
+                assert d0.apply(vec) == (0,) * ev.target_rank
+            for basis, other in ((shift, smith), (smith, shift)):
+                lattice = LatticeBasis.from_rows(other, d0.cols)
+                assert all(lattice.contains(v) for v in basis)
+
+
+def test_shift_basis_labels_and_sparsity():
+    _, ev = build_complex(DimVector.of(2, 3), TEST_TRIVIAL)
+    basis = _shift_kernel_basis(ev, 2)
+    # slot 2 (image 1) is the unit slot, so degree 0 has the other two slots
+    assert [label for label, _ in basis] == [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
+    assert basis[0][1] == [1, 0, -2, 0, 0, 0, 0, 0, 0]
+    # t acts by 13 on the target, so e_{1,1} = t * 3 goes to 3 * 13 at the unit slot one degree down
+    assert basis[3][1] == [0, 0, -39, 0, 1, 0, 0, 0, 0]
+
+
+def test_shift_basis_needs_a_unit_slot():
+    ev = EvaluationMap(target_rank=1, slot_images=((2,), (3,)), t_action=((5,),))
+    with pytest.raises(InconsistentComplexError, match="unit vector e_0"):
+        _shift_kernel_basis(ev, 3)
+
+
+def _double_first_d1_column(monkeypatch):
+    truncated = resolution._truncated_d1_columns
+
+    def doubled(d1, degree):
+        cols = truncated(d1, degree)
+        cols[0] = [2 * x for x in cols[0]]
+        return cols
+
+    monkeypatch.setattr(resolution, "_truncated_d1_columns", doubled)
+
+
+def test_coverage_failure_names_first_uncovered_vector(monkeypatch, capsys):
+    _double_first_d1_column(monkeypatch)
+    # "C": column 0 is itself the shift vector with lead (0, 0); "A": the
+    # degree-0 vector is covered, and lead (1, 0) is the first that needs column 0
+    expected = {TEST_TRIVIAL: (0, 0), TEST_ALGEBRA: (1, 0)}
+    for test in TEST_OBJECTS:
+        report = check_exactness(DimVector.of(2, 3), test, 8)
+        assert report.d1_injective
+        assert not report.kernel_covered
+        assert report.d0_surjective
+        assert not report.exact
+        assert report.uncovered == expected[test]
+    code = cli.main(["resolution-check", "--dims", "2,3", "--degree", "8", "--json"])
+    assert code == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    for test, (degree, slot) in expected.items():
+        assert results[test]["kernel_covered"] is False
+        assert results[test]["uncovered"] == {"degree": degree, "slot": slot}
+
+
+def test_no_witness_when_covered():
+    report = check_exactness(DimVector.of(2, 3), TEST_ALGEBRA, 8)
+    assert report.kernel_covered and report.uncovered is None
