@@ -2,10 +2,11 @@
 
 Exit codes: 0 on success (and on verified checks), 1 when a verification
 fails (theorem mismatch, non-exact complex, rank mismatch, rejected
-delta-form, block count mismatch), 2 on malformed input.  Reports go to
-standard output as JSON when piped or with --json, and as a readable table
-on a terminal or with --table.  All numbers in JSON are exact: integers
-beyond 2^53 become decimal strings and rationals are "p/q" strings.
+delta-form, block count mismatch, two Smith routes that disagree), 2 on
+malformed input.  Reports go to standard output as JSON when piped or with
+--json, and as a readable table on a terminal or with --table.  All numbers
+in JSON are exact: integers beyond 2^53 become decimal strings and
+rationals are "p/q" strings.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 from . import __version__
 from .dims import DimVector, random_dim_vectors
-from .exact_linalg import FgAbelianGroup, IntMatrix, smith_normal_form
+from .exact_linalg import FgAbelianGroup, IntMatrix, invariant_factors, smith_normal_form
 from .findim import AlgState, ComplexRational, FinDimAlgebra, is_delta_form
 from .ktheory import closed_form, k_theory, verify_theorem
 from .magic import generator_rank_report
@@ -249,6 +250,14 @@ def _cmd_snf(args):
         "U": dec.U,
         "V": dec.V,
     }
+    # second route: Smith modulo the pivot product of the Hermite rows
+    modular = invariant_factors(matrix)
+    if modular != dec.invariant_factors:
+        warning = (
+            f"MISMATCH: Smith diagonal {list(dec.invariant_factors)}, "
+            f"Hermite-modular route {list(modular)}"
+        )
+        return results, [warning], 1
     return results, [], 0
 
 

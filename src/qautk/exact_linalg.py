@@ -1,18 +1,30 @@
 """Exact linear algebra.
 
-Smith normal form with unimodular transformation matrices, row Hermite
-normal form, integer kernels and cokernels, and finitely generated abelian
-groups in invariant-factor form, all on Python's arbitrary-precision
-integers, so no operation can overflow.  The Hermite engine and the lattice
-membership test work on sparse rows (column -> nonzero entry), since the
-lattices they serve are mostly zeros.  One Gauss-Jordan elimination serves
-every exact field the library uses: rationals, Gaussian rationals and
-cyclotomic fields.
+Integer matrices, their Smith and row Hermite normal forms, integer kernels
+and cokernels, and finitely generated abelian groups in invariant-factor
+form, all on Python's arbitrary-precision integers, so no operation can
+overflow.
+
+The Hermite engine and the lattice membership test work on sparse rows
+(column -> nonzero entry), since the lattices they serve are mostly zeros.
+Rank, kernel and invariant factors all start from that Hermite pass: its r
+nonzero rows H (r the rank) span the row lattice of A, so they have A's
+kernel and A's nonzero invariant factors.  The invariant factors come from
+Smith on H modulo the product of its pivots, which bounds every entry
+(Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987); the kernel from the
+V transform of Smith on H.  Min-pivot Smith on a whole matrix, whose entries
+can explode (Kannan and Bachem, SIAM J. Comput. 8, 1979), is left to
+``smith_normal_form``, which alone returns U and V.
+
+One Gauss-Jordan elimination serves every exact field the library uses:
+rationals, Gaussian rationals and cyclotomic fields.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 
@@ -98,32 +110,6 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
 
-    def determinant(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise MatrixFormatError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = self.to_lists()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
     def to_text(self) -> str:
         """Render in the shared text format: "rows cols" then entry rows."""
         lines = [f"{self.rows} {self.cols}"]
@@ -185,13 +171,19 @@ def _swap_cols(m, j, k):
         row[j], row[k] = row[k], row[j]
 
 
-def _smith_engine(data, rows, cols, want_u, want_v):
+def _smith_engine(data, rows, cols, want_u, want_v, modulus=0):
     """Diagonalize ``data`` in place by unimodular operations.
 
-    Pivots are chosen with minimal absolute value in the working submatrix to
-    keep entry growth in check.  Each accepted pivot is made to divide every
-    entry of the remaining submatrix, so the diagonal is already a
-    divisibility chain when the loop ends.
+    Pivots are chosen with minimal absolute value in the working submatrix.
+    Each accepted pivot is made to divide every entry of the remaining
+    submatrix, so the diagonal is already a divisibility chain when the loop
+    ends.
+
+    With a nonzero ``modulus`` D (and entries given in [0, D)) every row
+    operation is followed by reduction into [0, D).  That is Smith on the
+    lattice spanned by the rows and D Z^cols, so entries never reach D; the
+    diagonal entries s_i then satisfy gcd(s_i, D) | gcd(s_(i+1), D).  U and
+    V are not tracked in this mode.
 
     Returns (matrix, u, v, factors) where u, v are None unless requested.
     """
@@ -244,8 +236,12 @@ def _smith_engine(data, rows, cols, want_u, want_v):
                 q = a // piv
                 if q:
                     mi, mt = m[i], m[t]
-                    for j2 in range(t, cols):
-                        mi[j2] -= q * mt[j2]
+                    if modulus:
+                        for j2 in range(t, cols):
+                            mi[j2] = (mi[j2] - q * mt[j2]) % modulus
+                    else:
+                        for j2 in range(t, cols):
+                            mi[j2] -= q * mt[j2]
                     if u is not None:
                         ui, ut = u[i], u[t]
                         for j2 in range(rows):
@@ -290,6 +286,8 @@ def _smith_engine(data, rows, cols, want_u, want_v):
                     mi = m[i]
                     for j in range(t + 1, cols):
                         if mi[j] % piv:
+                            # row t is zero right of the pivot, so the sum
+                            # stays in [0, modulus)
                             mt = m[t]
                             for j2 in range(t, cols):
                                 mt[j2] += mi[j2]
@@ -326,15 +324,19 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
 
 
 def invariant_factors(A: IntMatrix) -> tuple[int, ...]:
-    """Invariant factors only, skipping transformation bookkeeping.
+    """Invariant factors only, padded with zeros to min(rows, cols).
 
-    Works on the transpose when that is the smaller orientation; the factors
-    are invariant under transposition.
+    The Hermite rows H of A (r of them, r the rank) have the same nonzero
+    invariant factors, since row operations are unimodular.  The product D
+    of their pivots is a nonzero r x r minor of H, so d_1 ... d_r divides D,
+    and Smith on H modulo D gives d_i = gcd(s_i, D) with every entry below D.
     """
-    if A.rows > A.cols:
-        A = A.transpose()
-    _, _, _, factors = _smith_engine(A.to_lists(), A.rows, A.cols, False, False)
-    return factors
+    h, pivots = _hermite_rows(A)
+    r = len(pivots)
+    modulus = math.prod(row[c] for row, c in zip(h, pivots))
+    h = [[x % modulus for x in row] for row in h]
+    _, _, _, diagonal = _smith_engine(h, r, A.cols, False, False, modulus)
+    return tuple(math.gcd(s, modulus) for s in diagonal) + (0,) * (min(A.rows, A.cols) - r)
 
 
 def _normalize_vector_sign(vec: list[int]) -> tuple[int, ...]:
@@ -349,16 +351,15 @@ def _normalize_vector_sign(vec: list[int]) -> tuple[int, ...]:
 def kernel_basis(A: IntMatrix) -> list[tuple[int, ...]]:
     """Lattice basis of {x : A x = 0}.
 
-    The returned vectors are the columns of V beyond the rank, so they span
-    the full (saturated) kernel lattice.  Each vector is normalized so its
-    first nonzero coordinate is positive.
+    A and its Hermite rows H have the same kernel.  The returned vectors are
+    the columns of V beyond the rank r in the Smith form of the r x cols
+    matrix H, so they span the full (saturated) kernel lattice.  Each vector
+    is normalized so its first nonzero coordinate is positive.
     """
-    _, _, v, factors = _smith_engine(A.to_lists(), A.rows, A.cols, False, True)
-    r = sum(1 for d in factors if d != 0)
-    basis = []
-    for j in range(r, A.cols):
-        basis.append(_normalize_vector_sign([v[i][j] for i in range(A.cols)]))
-    return basis
+    h, pivots = _hermite_rows(A)
+    r = len(pivots)
+    _, _, v, _ = _smith_engine(h, r, A.cols, False, True)
+    return [_normalize_vector_sign([v[i][j] for i in range(A.cols)]) for j in range(r, A.cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -390,72 +391,119 @@ def _sparse(row: Sequence[int]) -> dict[int, int]:
 def _axpy(row: dict[int, int], q: int, pivot_row: dict[int, int]) -> None:
     """row += q * pivot_row on sparse rows, in place; q must be nonzero."""
     for j, x in pivot_row.items():
-        y = row.get(j, 0) + q * x
-        if y:
-            row[j] = y
+        if j in row:
+            y = row[j] + q * x
+            if y:
+                row[j] = y
+            else:
+                del row[j]
         else:
-            del row[j]
+            row[j] = q * x
 
 
-def _hnf_engine(m: list[dict[int, int]], cols: int) -> tuple[list[dict[int, int]], list[int]]:
-    """Row Hermite normal form of sparse rows, in place.
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s a + t b; b must be positive."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
 
-    Each row maps a column to its nonzero entry.  Column by column, Euclid
-    runs down the column (pivot: the first row of least absolute value),
-    then the entries above the pivot are reduced into [0, pivot).  Rows at
-    or below the current pivot are zero left of the column, so a row
-    operation is an ``_axpy`` over the pivot row's nonzero entries.
-    Returns the rows (the nonzero ones first) and the pivot columns.
+
+def _combine(s: int, u: dict[int, int], t: int, w: dict[int, int]) -> dict[int, int]:
+    """s * u + t * w on sparse rows, as a new row; s must be nonzero."""
+    out = {j: s * x for j, x in u.items()}
+    if t:
+        _axpy(out, t, w)
+    return out
+
+
+def _hnf_engine(rows: Iterable[dict[int, int]]) -> tuple[list[dict[int, int]], list[int]]:
+    """Row Hermite normal form of sparse rows.
+
+    Each row maps a column to its nonzero entry.  The rows go one at a time
+    into a basis that is kept in Hermite form throughout: positive pivots,
+    and every entry at another row's pivot column reduced into [0, pivot).
+    A row is reduced at its leading column against the basis row with that
+    pivot; where the pivot does not divide it, an extended-gcd step makes
+    the gcd the pivot and leaves the row zero there.  Keeping the basis
+    reduced bounds its entries by those of the Hermite form of the rows
+    seen so far, whereas Euclid run down whole columns grows them by tens
+    of bits a column on boundary matrices with large blocks.
+    Returns the basis rows in pivot order and their pivot columns.
     """
-    rows = len(m)
-    pivot_cols = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        # rows at or below r with a nonzero entry in column c, in order
-        live = [i for i in range(r, rows) if c in m[i]]
-        if not live:
-            continue
-        pi = min(live, key=lambda i: abs(m[i][c]))
-        m[r], m[pi] = m[pi], m[r]
-        if live[0] != r:
-            # a row that is zero in column c went down to pi
-            live = [r] + [i for i in live if i != pi]
-        while True:
-            mr = m[r]
-            if mr[c] < 0:
-                m[r] = mr = {j: -x for j, x in mr.items()}
-            piv = mr[c]
-            below = []
-            for i in live[1:]:
-                mi = m[i]
-                _axpy(mi, -(mi[c] // piv), mr)
-                if c in mi:
-                    below.append(i)
-            if not below:
+    basis: dict[int, dict[int, int]] = {}
+
+    def reduce_at(row: dict[int, int], todo: list[int]) -> None:
+        """Reduce row at the pivot columns in todo, and at those the steps
+        reach, into [0, pivot), left to right: reducing at pivot p changes
+        only columns right of p."""
+        heapify(todo)
+        done = -1
+        while todo:
+            p = heappop(todo)
+            if p == done or p not in row:
+                continue
+            done = p
+            pivot_row = basis[p]
+            q = row[p] // pivot_row[p]
+            if q:
+                _axpy(row, -q, pivot_row)
+                for j in pivot_row:
+                    if j > p and j in basis:
+                        heappush(todo, j)
+
+    def install(c: int, row: dict[int, int]) -> None:
+        basis[c] = row
+        reduce_at(row, [j for j in row if j > c and j in basis])
+        # subtracting row changes another row's pivot columns right of c
+        # only where row has entries
+        touched = [j for j in row if j > c and j in basis]
+        piv = row[c]
+        for other in [other for p, other in basis.items() if p < c and c in other]:
+            q = other[c] // piv
+            if q:
+                _axpy(other, -q, row)
+                if touched:
+                    reduce_at(other, list(touched))
+
+    for v in rows:
+        while v:
+            c = min(v)
+            pivot_row = basis.get(c)
+            if pivot_row is None:
+                if v[c] < 0:
+                    v = {j: -x for j, x in v.items()}
+                install(c, v)
                 break
-            live = [r] + below
-            # Euclid: the least remainder is below the pivot
-            pi = min(below, key=lambda i: abs(m[i][c]))
-            m[r], m[pi] = m[pi], m[r]
-        for i in range(r):
-            mi = m[i]
-            a = mi.get(c)
-            if a:
-                q = a // piv
-                if q:
-                    _axpy(mi, -q, mr)
-        pivot_cols.append(c)
-        r += 1
-    return m, pivot_cols
+            a, piv = v[c], pivot_row[c]
+            q, rem = divmod(a, piv)
+            if not rem:
+                _axpy(v, -q, pivot_row)
+                continue
+            # (v, pivot_row) -> (piv/g v - a/g pivot_row, s v + t pivot_row)
+            # is unimodular; the second has pivot g, the first is zero at c
+            g, s, t = _xgcd(a, piv)
+            v, new_pivot_row = _combine(piv // g, v, -(a // g), pivot_row), _combine(s, v, t, pivot_row)
+            install(c, new_pivot_row)
+    pivots = sorted(basis)
+    return [basis[c] for c in pivots], pivots
+
+
+def _hermite_rows(A: IntMatrix) -> tuple[list[list[int]], list[int]]:
+    """The nonzero rows of the row Hermite form of A, dense, and their
+    pivot columns."""
+    basis, pivots = _hnf_engine(_sparse(A.row(i)) for i in range(A.rows))
+    return [[row.get(j, 0) for j in range(A.cols)] for row in basis], pivots
 
 
 def hermite_normal_form(A: IntMatrix) -> HermiteDecomposition:
     """Row Hermite normal form."""
-    m, pivots = _hnf_engine([_sparse(A.row(i)) for i in range(A.rows)], A.cols)
+    h, pivots = _hermite_rows(A)
+    zero_rows = (0,) * ((A.rows - len(h)) * A.cols)
     return HermiteDecomposition(
-        H=IntMatrix(A.rows, A.cols, tuple(row.get(j, 0) for row in m for j in range(A.cols))),
+        H=IntMatrix(A.rows, A.cols, tuple(x for row in h for x in row) + zero_rows),
         pivot_cols=tuple(pivots),
     )
 
@@ -468,20 +516,19 @@ class LatticeBasis:
     """
 
     def __init__(self, A: IntMatrix):
-        self._reduce([_sparse(A.row(i)) for i in range(A.rows)], A.cols)
+        self._reduce((_sparse(A.row(i)) for i in range(A.rows)), A.cols)
 
     @classmethod
     def from_rows(cls, rows: list[list[int]], cols: int) -> "LatticeBasis":
         """Build from raw generator rows without IntMatrix overhead."""
         self = cls.__new__(cls)
-        self._reduce([_sparse(row) for row in rows], cols)
+        self._reduce((_sparse(row) for row in rows), cols)
         return self
 
-    def _reduce(self, rows: list[dict[int, int]], cols: int) -> None:
-        m, pivots = _hnf_engine(rows, cols)
+    def _reduce(self, rows: Iterable[dict[int, int]], cols: int) -> None:
+        self.basis, pivots = _hnf_engine(rows)
         self.cols = cols
         self.pivot_cols = tuple(pivots)
-        self.basis = m[: len(pivots)]
         self._by_pivot = dict(zip(pivots, self.basis))
 
     @property

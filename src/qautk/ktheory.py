@@ -30,15 +30,16 @@ def boundary_matrix(k: DimVector) -> IntMatrix:
     in the last n columns; the final row is (-k_1, ..., -k_n | k_1, ..., k_n).
     """
     n = k.n
-    rows = []
+    sizes = list(k)
+    entries: list[int] = []
     for i in range(n):
         for a in range(n):
             row = [0] * (2 * n)
-            row[i] = k[a]
-            row[n + a] -= k[i]
-            rows.append(row)
-    rows.append([-k[j] for j in range(n)] + [k[j] for j in range(n)])
-    return IntMatrix.from_rows(rows)
+            row[i] = sizes[a]
+            row[n + a] = -sizes[i]
+            entries += row
+    entries += [-x for x in sizes] + sizes
+    return IntMatrix(n * n + 1, 2 * n, tuple(entries))
 
 
 def k_theory(k: DimVector) -> KTheoryResult:

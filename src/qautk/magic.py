@@ -11,6 +11,7 @@ that the span is a direct summand (torsion-free quotient).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -74,23 +75,17 @@ def evaluation_matrix(n: int, max_n: int | None = DEFAULT_MAX_N) -> IntMatrix:
         raise ValueError(
             f"n = {n} exceeds the cap {max_n} ({n}! rows); pass max_n=None to override"
         )
-    rows = []
+    entries: list[int] = []
     for sigma in itertools.permutations(range(n)):
-        row = [1]
+        entries.append(1)
         for i in range(n):
-            for j in range(n):
-                row.append(1 if sigma[i] == j else 0)
-        rows.append(row)
-    return IntMatrix.from_rows(rows)
+            entries.extend(1 if sigma[i] == j else 0 for j in range(n))
+    return IntMatrix(math.factorial(n), n * n + 1, tuple(entries))
 
 
-def _restricted_columns(n: int) -> list[int]:
-    """Columns for {1} and u_ij with i, j <= n - 2 (0-based i, j < n - 1)."""
-    cols = [0]
-    for i in range(n - 1):
-        for j in range(n - 1):
-            cols.append(1 + i * n + j)
-    return cols
+def _restricted_slices(n: int) -> list[slice]:
+    """Column runs for {1} and u_ij with i, j <= n - 2 (0-based i, j < n - 1)."""
+    return [slice(0, 1)] + [slice(1 + i * n, i * n + n) for i in range(n - 1)]
 
 
 @dataclass(frozen=True)
@@ -118,10 +113,13 @@ def generator_rank_report(n: int, max_n: int | None = DEFAULT_MAX_N) -> Generato
     counts honest free generators.
     """
     full = evaluation_matrix(n, max_n=max_n)
-    cols = _restricted_columns(n)
-    restricted = IntMatrix.from_rows(
-        [[full.at(r, c) for c in cols] for r in range(full.rows)]
-    )
+    runs = _restricted_slices(n)
+    entries: list[int] = []
+    for r in range(full.rows):
+        row = full.row(r)
+        for run in runs:
+            entries.extend(row[run])
+    restricted = IntMatrix(full.rows, 1 + (n - 1) ** 2, tuple(entries))
     f_full = invariant_factors(full)
     f_res = invariant_factors(restricted)
     return GeneratorRankReport(

@@ -106,6 +106,28 @@ def test_criterion_4_resolution_exactness():
     _report("4 (resolution exactness n<=4, k<=4, D=12)", ok, f"{elapsed:.2f}s < 60s")
 
 
+def _bareiss_determinant(a: IntMatrix) -> int:
+    """Reference determinant by fraction-free (Bareiss) elimination."""
+    n = a.rows
+    assert a.cols == n
+    if n == 0:
+        return 1
+    m = a.to_lists()
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
 def _minor_gcds(a: IntMatrix):
     out = []
     for k in range(1, min(a.rows, a.cols) + 1):
@@ -113,7 +135,7 @@ def _minor_gcds(a: IntMatrix):
         for rows in combinations(range(a.rows), k):
             for cols in combinations(range(a.cols), k):
                 sub = IntMatrix.from_rows([[a.at(i, j) for j in cols] for i in rows])
-                g = math.gcd(g, sub.determinant())
+                g = math.gcd(g, _bareiss_determinant(sub))
                 if g == 1:
                     break
             if g == 1:
@@ -135,7 +157,7 @@ def test_criterion_5_snf_property_suite():
         if (dec.U @ a @ dec.V).entries != dec.S.entries:
             ok = False
             break
-        if abs(dec.U.determinant()) != 1 or abs(dec.V.determinant()) != 1:
+        if abs(_bareiss_determinant(dec.U)) != 1 or abs(_bareiss_determinant(dec.V)) != 1:
             ok = False
             break
         factors = dec.invariant_factors

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,30 @@ def test_snf_file(capsys, tmp_path):
     code, payload = run_json(capsys, "snf", "--matrix", str(path))
     assert code == 0
     assert payload["results"]["invariant_factors"] == [2, 4]
+
+
+def test_snf_routes_disagree_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "invariant_factors", lambda matrix: (1, 8))
+    monkeypatch.setattr("sys.stdin", io.StringIO("2 2\n2 4\n6 8\n"))
+    code, payload = run_json(capsys, "snf", "--matrix", "-")
+    assert code == 1
+    assert payload["results"]["invariant_factors"] == [2, 4]
+    assert payload["warnings"] == ["MISMATCH: Smith diagonal [2, 4], Hermite-modular route [1, 8]"]
+
+
+@pytest.mark.parametrize("dims", [
+    "1532,8680,8357,4888,2392,2099",
+    "2,3,8,12,3,3,9,12,3,5,2,4,11,5,8,8,9,8,10,12,4,5,11,11,6,11,8,8,3,8,5",
+])
+def test_verify_former_runaways_finish_fast(capsys, dims):
+    # min-pivot Smith on the whole boundary matrix ran for minutes on these
+    start = time.process_time()
+    code, payload = run_json(capsys, "verify", "--dims", dims)
+    elapsed = time.process_time() - start
+    assert code == 0
+    assert payload["results"]["match"] is True
+    assert payload["results"]["computed"] == payload["results"]["expected"]
+    assert elapsed < 1.0
 
 
 def test_snf_bad_matrix(capsys, monkeypatch):

@@ -1,9 +1,11 @@
 import math
 import random
+import time
 from itertools import combinations
 
 import pytest
 
+from qautk import exact_linalg
 from qautk.exact_linalg import (
     FgAbelianGroup,
     IntMatrix,
@@ -26,6 +28,28 @@ def random_matrix(rng, max_dim=6, lo=-9, hi=9):
     return IntMatrix(r, c, tuple(rng.randint(lo, hi) for _ in range(r * c)))
 
 
+def bareiss_determinant(a: IntMatrix) -> int:
+    """Reference determinant by fraction-free (Bareiss) elimination."""
+    n = a.rows
+    assert a.cols == n
+    if n == 0:
+        return 1
+    m = a.to_lists()
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
 def minor_gcds(a: IntMatrix) -> list[int]:
     """gcd of all k x k minors for k = 1..min(rows, cols), with early exits."""
     out = []
@@ -34,7 +58,7 @@ def minor_gcds(a: IntMatrix) -> list[int]:
         for rows in combinations(range(a.rows), k):
             for cols in combinations(range(a.cols), k):
                 sub = IntMatrix.from_rows([[a.at(i, j) for j in cols] for i in rows])
-                g = math.gcd(g, sub.determinant())
+                g = math.gcd(g, bareiss_determinant(sub))
                 if g == 1:
                     break
             if g == 1:
@@ -48,8 +72,8 @@ def minor_gcds(a: IntMatrix) -> list[int]:
 def assert_valid_decomposition(a: IntMatrix):
     dec = smith_normal_form(a)
     assert (dec.U @ a @ dec.V).entries == dec.S.entries
-    assert abs(dec.U.determinant()) == 1
-    assert abs(dec.V.determinant()) == 1
+    assert abs(bareiss_determinant(dec.U)) == 1
+    assert abs(bareiss_determinant(dec.V)) == 1
     factors = dec.invariant_factors
     assert len(factors) == min(a.rows, a.cols)
     nonzero = [d for d in factors if d]
@@ -184,6 +208,82 @@ def test_random_kernels():
             assert leading is None or leading > 0
 
 
+def oracle_inputs(rng):
+    """Tall, wide and rank-deficient matrices up to 8 x 8, all-zero and
+    empty matrices, and boundary matrices with n <= 6 and k <= 50."""
+    out = [IntMatrix.zero(r, c) for r, c in ((1, 1), (3, 5), (6, 2), (8, 8))]
+    out += [IntMatrix(0, c, ()) for c in (0, 3)] + [IntMatrix(r, 0, ()) for r in (1, 4)]
+    for _ in range(40):
+        r = rng.randint(1, 8)
+        c = rng.randint(1, r) if rng.random() < 0.5 else rng.randint(r, 8)
+        out.append(IntMatrix(r, c, tuple(rng.randint(-30, 30) for _ in range(r * c))))
+    for _ in range(40):
+        # a product through k < min(r, c) columns has rank at most k
+        r, c = rng.randint(2, 8), rng.randint(2, 8)
+        k = rng.randint(1, min(r, c) - 1)
+        left = [[rng.randint(-6, 6) for _ in range(k)] for _ in range(r)]
+        right = [[rng.randint(-6, 6) for _ in range(c)] for _ in range(k)]
+        out.append(IntMatrix.from_rows(left) @ IntMatrix.from_rows(right))
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        out.append(boundary_matrix(DimVector(tuple(rng.randint(1, 50) for _ in range(n)))))
+    return out
+
+
+def span_hermite(vectors, cols):
+    """The Hermite rows of the lattice spanned by the vectors."""
+    if not vectors:
+        return ()
+    dec = hermite_normal_form(IntMatrix.from_rows(vectors))
+    return dec.H.entries[: dec.rank * cols]
+
+
+def test_hermite_modular_routes_match_smith_oracle():
+    assert invariant_factors(IntMatrix.zero(3, 5)) == (0, 0, 0)
+    assert invariant_factors(IntMatrix(0, 4, ())) == ()
+    assert kernel_basis(IntMatrix(2, 0, ())) == []
+    rng = random.Random(10)
+    for a in oracle_inputs(rng):
+        dec = smith_normal_form(a)
+        assert invariant_factors(a) == dec.invariant_factors, a
+        torsion = tuple(d for d in dec.invariant_factors if d > 1)
+        assert cokernel(a) == FgAbelianGroup(a.rows - dec.rank, torsion), a
+        oracle = [[dec.V.at(i, j) for i in range(a.cols)] for j in range(dec.rank, a.cols)]
+        basis = kernel_basis(a)
+        assert len(basis) == len(oracle)
+        assert span_hermite(basis, a.cols) == span_hermite(oracle, a.cols), a
+
+
+def test_smith_runs_on_hermite_rows_below_the_pivot_product(monkeypatch):
+    calls = []
+    engine = exact_linalg._smith_engine
+
+    def spy(data, rows, cols, want_u, want_v, modulus=0):
+        calls.append((rows, cols, modulus))
+        if modulus:
+            # every entry the engine writes must stay in [0, modulus)
+            class BoundedRow(list):
+                def __setitem__(self, j, x):
+                    assert 0 <= x < modulus, x
+                    super().__setitem__(j, x)
+
+            assert all(0 <= x < modulus for row in data for x in row)
+            data = [BoundedRow(row) for row in data]
+        return engine(data, rows, cols, want_u, want_v, modulus)
+
+    monkeypatch.setattr(exact_linalg, "_smith_engine", spy)
+    a = boundary_matrix(DimVector.of(6, 10, 15))
+    herm = hermite_normal_form(a)
+    pivot_product = math.prod(herm.H.at(i, c) for i, c in enumerate(herm.pivot_cols))
+    assert (a.rows, a.cols, herm.rank) == (10, 6, 5)
+    assert pivot_product > 1
+    factors = invariant_factors(a)
+    basis = kernel_basis(a)
+    assert calls == [(5, 6, pivot_product), (5, 6, 0)]
+    assert factors == (1, 1, 1, 1, 1, 0)
+    assert basis == [(6, 10, 15, 6, 10, 15)]
+
+
 def random_unimodular(rng, n, steps=12):
     m = IntMatrix.identity(n).to_lists()
     for _ in range(steps):
@@ -311,6 +411,20 @@ def test_hermite_normal_form_matches_dense_reference():
             if a.cols and rng.random() < 0.5:
                 v[rng.randrange(a.cols)] += rng.randint(1, 3)
             assert lat.contains(v) == dense_contains(m, pivots, v)
+
+
+def test_hermite_pass_stays_small_on_large_blocks():
+    # Euclid down whole columns grew these entries past 1,000 bits
+    rng = random.Random(41)
+    k = DimVector(tuple(rng.randint(1, 10_000) for _ in range(40)))
+    a = boundary_matrix(k)
+    start = time.process_time()
+    factors = invariant_factors(a)
+    basis = kernel_basis(a)
+    assert time.process_time() - start < 1.0
+    d = k.gcd
+    assert factors == (d,) * 79 + (0,)
+    assert basis == [tuple(x // d for x in k) * 2]
 
 
 def test_transpose_matches_entrywise_definition():
