@@ -16,8 +16,8 @@ V transform of Smith on H.  Min-pivot Smith on a whole matrix, whose entries
 can explode (Kannan and Bachem, SIAM J. Comput. 8, 1979), is left to
 ``smith_normal_form``, which alone returns U and V.
 
-One Gauss-Jordan elimination serves every exact field the library uses:
-rationals, Gaussian rationals and cyclotomic fields.
+One sparse, incremental reduced-echelon elimination serves every exact
+field the library uses: rationals, Gaussian rationals and cyclotomic fields.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 class MatrixFormatError(ValueError):
@@ -82,10 +82,6 @@ class IntMatrix:
     def to_lists(self) -> list[list[int]]:
         c = self.cols
         return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
-
-    def transpose(self) -> "IntMatrix":
-        e, c = self.entries, self.cols
-        return IntMatrix(c, self.rows, tuple(x for j in range(c) for x in e[j::c]))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -388,8 +384,9 @@ def _sparse(row: Sequence[int]) -> dict[int, int]:
     return {j: x for j, x in enumerate(row) if x}
 
 
-def _axpy(row: dict[int, int], q: int, pivot_row: dict[int, int]) -> None:
-    """row += q * pivot_row on sparse rows, in place; q must be nonzero."""
+def _axpy(row: dict, q, pivot_row: dict) -> None:
+    """row += q * pivot_row on sparse rows, in place; q must be nonzero.
+    Entries are integers or elements of a field, where q * x != 0."""
     for j, x in pivot_row.items():
         if j in row:
             y = row[j] + q * x
@@ -558,37 +555,60 @@ class LatticeBasis:
 # Elimination over an exact field
 # ---------------------------------------------------------------------------
 
-def _row_reduce(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form over an exact field, by Gauss-Jordan.
+class _Echelon:
+    """Reduced row echelon basis over an exact field, grown one row at a time.
 
     Entries are field elements supporting ``+``, ``-``, ``*``, ``1 / x`` and
     truth as "nonzero": ``Fraction``, ``ComplexRational`` or ``Cyclotomic``.
-    Returns the reduced rows (a new list; the input is not modified) and the
-    pivot column of each nonzero row, so the rank is the number of pivots.
-    Kept private: it is a step inside the torsion, findim and resolution
-    layers, not a layer of its own (perfbench traces public functions only).
+    Rows are sparse (column -> entry).  ``rows`` maps each pivot column to
+    its row, which is 1 there and has no entry at any other pivot column.
+    This is the integer ``_hnf_engine`` with field division in place of the
+    extended gcd, and the same invariant: a new row is reduced at the pivot
+    columns it meets, and if anything is left, its leading column becomes a
+    pivot and is cleared from the other rows.  Clearing adds multiples of a
+    row that starts right of every pivot it touches, so each row keeps its
+    leading column, and the basis stays the reduced echelon form of the rows
+    seen so far.
     """
-    m = [list(row) for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+
+    def __init__(self):
+        self.rows: dict[int, dict] = {}
+
+    def insert(self, row: Mapping) -> bool:
+        """Add a row (zero entries allowed, the argument is not modified);
+        True when the rank rose."""
+        rows = self.rows
+        v = {j: x for j, x in row.items() if x}
+        # rows[p] has no entry at another pivot, so v[p] is fixed once read
+        for p in [p for p in v if p in rows]:
+            _axpy(v, -v[p], rows[p])
+        if not v:
+            return False
+        c = min(v)
+        inv = 1 / v[c]
+        v = {j: x * inv for j, x in v.items()}
+        for other in rows.values():
+            f = other.get(c)
+            if f is not None:
+                _axpy(other, -f, v)
+        rows[c] = v
+        return True
+
+
+def _row_reduce(rows: Iterable[Mapping]) -> tuple[list[dict], list[int]]:
+    """Reduced row echelon form over an exact field, of sparse rows.
+
+    Returns the nonzero reduced rows, sparse and in pivot order, and their
+    pivot columns, so the rank is the number of pivots.  The reduced echelon
+    form is unique, so it depends only on the row space.  Kept private: it
+    is a step inside the torsion, findim and resolution layers, not a layer
+    of its own (perfbench traces public functions only).
+    """
+    echelon = _Echelon()
+    for row in rows:
+        echelon.insert(row)
+    pivots = sorted(echelon.rows)
+    return [echelon.rows[c] for c in pivots], pivots
 
 
 # ---------------------------------------------------------------------------

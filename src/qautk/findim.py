@@ -306,10 +306,10 @@ def mu_mu_star(algebra: FinDimAlgebra, state: AlgState) -> QCMatrix:
     labels, index = _basis_index_maps(algebra)
     dim = len(labels)
     gram = gns_gram(algebra, state)
-    reduced, pivots = _row_reduce([row + ident for row, ident in zip(gram, qc_identity(dim))])
+    reduced, pivots = _row_reduce(dict(enumerate(row + ident)) for row, ident in zip(gram, qc_identity(dim)))
     if pivots != list(range(dim)):
         raise ZeroDivisionError("GNS Gram matrix is singular")
-    gram_inv = [row[dim:] for row in reduced]
+    gram_inv = [[row.get(dim + j, QC_ZERO) for j in range(dim)] for row in reduced]
     gram_inv_t = [[gram_inv[j][i] for j in range(dim)] for i in range(dim)]
 
     # product of basis units: e_ab e_cd = delta_bc e_ad within a block

@@ -199,14 +199,13 @@ def _solve_t_action(d1: Matrix, images, r: int) -> list[list[int]]:
                 part = b if q else a
                 for i in range(r):
                     part[i] += c * img[i]
-        if any(b) or any(a):
-            system.append([Fraction(x) for x in b] + [Fraction(-x) for x in a])
+        system.append(dict(enumerate([Fraction(x) for x in b] + [Fraction(-x) for x in a])))
     reduced, pivots = _row_reduce(system)
     if pivots and pivots[-1] >= r:
         raise InconsistentComplexError("zero-composition constraints are inconsistent")
     if len(pivots) != r:
         raise InconsistentComplexError("t-action is not determined by the constraints")
-    t = [[reduced[j][r + i] for j in range(r)] for i in range(r)]
+    t = [[reduced[j].get(r + i, Fraction(0)) for j in range(r)] for i in range(r)]
     for x in (x for row in t for x in row):
         if x.denominator != 1:
             raise InconsistentComplexError(f"t-action entry {x} is not an integer")

@@ -11,6 +11,11 @@ The ``GradedAlgebra`` constructor checks sizes, index ranges, grading and
 dropped zeros; ``validate``, which ``from_dict`` runs on JSON input, checks
 the involution and associativity.  A twisted group algebra inherits those
 axioms from the cocycle identity that ``Cocycle`` checks on construction.
+Associativity of a group table, of a cocycle and of structure constants is
+proved by Light's test (Clifford and Preston, The Algebraic Theory of
+Semigroups I, 1961, section 1.2): (x s) y = x (s y) for all basis x, y and
+every s in a generating set S, n^2 |S| checks instead of n^3 (see
+``_generating_set``).  All linear algebra is one sparse exact elimination.
 
 The block sizes come from two trace forms on the center: Tr_A(L_xy) and
 Tr_Z(L_xy|_Z), which in the basis of central primitive idempotents read
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .cyclotomic import Cyclotomic, cyclotomic_from_json, cyclotomic_to_json
-from .exact_linalg import _row_reduce
+from .exact_linalg import _Echelon, _row_reduce
 
 
 class GroupTableError(ValueError):
@@ -58,6 +63,64 @@ class NonSemisimpleError(ValueError):
         self.witness = witness
 
 
+def _generating_set(n: int, unit, times, insert) -> list[int]:
+    """Basis indices S whose left-normed products span everything, for
+    Light's associativity test.
+
+    ``unit(i)`` is basis element i, ``times(x, s)`` is x times basis
+    element s, and ``insert(x)`` adds x to the closure and says whether it
+    was new: a group element not seen yet, or a vector that raised the rank.
+    Going through the indices in order, i joins S when its basis element is
+    not yet in the closure, which is then closed again under right
+    multiplication by S, until it holds n independent elements.  Every
+    element the closure holds is a left-normed product (..(s1 s2)..) sk of
+    elements of S, and every basis element is in it at the end.  If the
+    product never helps (the zero product), S is every index.
+
+    Why (x s) y = x (s y) for all basis x, y and all s in S proves
+    associativity: the middle nucleus N = {a : (xa)y = x(ay) for all x, y}
+    is a subspace (a subset, for a table), and closed under products, since
+    for a, b in N
+
+        (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).
+
+    So S in N puts every left-normed product of S in N, hence everything.
+    """
+    gens: list[int] = []
+    words: list = []
+    for i in range(n):
+        if len(words) == n:
+            break
+        x = unit(i)
+        if not insert(x):
+            continue
+        pending = [(w, i) for w in words]
+        gens.append(i)
+        words.append(x)
+        pending.extend((x, s) for s in gens)
+        while pending and len(words) < n:
+            w, s = pending.pop()
+            y = times(w, s)
+            if insert(y):
+                words.append(y)
+                pending.extend((y, t) for t in gens)
+    return gens
+
+
+def _group_generators(table: Sequence[Sequence[int]]) -> list[int]:
+    """``_generating_set`` of a Cayley table: for a group, each new index at
+    least doubles the subgroup generated, so |S| <= 1 + log2(order)."""
+    seen: set[int] = set()
+
+    def insert(x: int) -> bool:
+        if x in seen:
+            return False
+        seen.add(x)
+        return True
+
+    return _generating_set(len(table), lambda i: i, lambda x, s: table[x][s], insert)
+
+
 def _json_int(x) -> int:
     """An integer read from JSON; booleans, floats and strings are refused."""
     if isinstance(x, bool) or not isinstance(x, int):
@@ -74,7 +137,9 @@ class FiniteGroup:
     """A finite group presented by its full multiplication table.
 
     ``table[i][j]`` is the index of the product of elements i and j.  The
-    group axioms are checked on construction.
+    group axioms are checked on construction; associativity by Light's test
+    on a generating set (see ``_generating_set``), and a failure names the
+    first failing (i, j, k) with j in that set.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -97,11 +162,14 @@ class FiniteGroup:
         for i in range(n):
             if e not in self.table[i]:
                 raise GroupTableError(f"element {i} has no inverse")
+        table = self.table
+        gens = _group_generators(table)
         for i in range(n):
-            for j in range(n):
-                tij = self.table[i][j]
-                for kk in range(n):
-                    if self.table[tij][kk] != self.table[i][self.table[j][kk]]:
+            ti = table[i]
+            for j in gens:
+                tij = table[ti[j]]
+                for kk, jk in enumerate(table[j]):
+                    if tij[kk] != ti[jk]:
                         raise GroupTableError(
                             f"associativity fails at ({i}, {j}, {kk})"
                         )
@@ -263,7 +331,12 @@ class Cocycle:
     """omega(s, t) = zeta_root_order ** table[s][t], normalized at the identity.
 
     The cocycle identity omega(s,t) omega(st,u) = omega(t,u) omega(s,tu) is
-    checked on construction as exponent arithmetic.
+    checked on construction as exponent arithmetic, for t in the group's
+    generating set S (see ``_generating_set``).  That suffices: the identity
+    at (s, t, u) is associativity (d_s d_t) d_u = d_s (d_t d_u) of the
+    twisted group algebra, d_s d_t = omega(s,t) d_st, and the left-normed
+    products of the d_t, t in S, are nonzero multiples of every d_g.  A
+    failure names the first failing (s, t, u) with t in S.
     """
 
     group: FiniteGroup
@@ -285,13 +358,15 @@ class Cocycle:
         for s in range(n):
             if self.table[e][s] or self.table[s][e]:
                 raise CocycleError("cocycle is not normalized at the identity")
-        g = self.group
+        g = self.group.table
+        w = self.table
+        gens = _group_generators(g)
         for s in range(n):
-            for t in range(n):
-                st = g.mul(s, t)
+            for t in gens:
+                st = g[s][t]
                 for u in range(n):
-                    lhs = (self.table[s][t] + self.table[st][u]) % m
-                    rhs = (self.table[t][u] + self.table[s][g.mul(t, u)]) % m
+                    lhs = (w[s][t] + w[st][u]) % m
+                    rhs = (w[t][u] + w[s][g[t][u]]) % m
                     if lhs != rhs:
                         raise CocycleError(f"cocycle identity fails at ({s}, {t}, {u})")
 
@@ -460,7 +535,14 @@ class GradedAlgebra:
 
     def validate(self) -> None:
         """Check, in this order, that the involution is involutive and
-        anti-multiplicative and that the product is associative."""
+        anti-multiplicative and that the product is associative.
+
+        Associativity is Light's test: (e_i e_j) e_k = e_i (e_j e_k) for j in
+        a generating set S whose left-normed products span the algebra (see
+        ``_generating_set``; their rank comes from one sparse elimination),
+        n^2 |S| checks in all.  A failure names the first failing (i, j, k)
+        with j in S.
+        """
         n = len(self.basis_labels)
         mult = self.mult
         one = Cyclotomic.one(self.root_order)
@@ -476,8 +558,9 @@ class GradedAlgebra:
                     raise GradedAlgebraError(
                         f"involution is not anti-multiplicative on basis ({i}, {j})"
                     )
+        gens = _algebra_generators(mult, self.root_order)
         for i in range(n):
-            for j in range(n):
+            for j in gens:
                 ij = mult[i][j]
                 for kk in range(n):
                     # (e_i e_j) e_k against e_i (e_j e_k), expanded over the cells
@@ -550,6 +633,18 @@ def _combine(terms) -> SparseVec:
             cur = acc.get(z)
             acc[z] = ac if cur is None else cur + ac
     return {z: c for z, c in acc.items() if c}
+
+
+def _algebra_generators(mult, order: int) -> list[int]:
+    """``_generating_set`` of structure constants over Q(zeta_order); the
+    rank of the closure comes from one sparse elimination."""
+    one = Cyclotomic.one(order)
+    return _generating_set(
+        len(mult),
+        lambda i: {i: one},
+        lambda x, s: _combine((c, mult[z][s]) for z, c in x.items()),
+        _Echelon().insert,
+    )
 
 
 def is_ergodic(b: GradedAlgebra) -> bool:
@@ -697,16 +792,17 @@ def extract_torsion_data(b: GradedAlgebra) -> tuple[FiniteGroup, Cocycle]:
 # Wedderburn block decomposition
 # ---------------------------------------------------------------------------
 
-def _kernel(rows: Sequence[Sequence[Cyclotomic]], ncols: int, order: int) -> list[tuple[int, SparseVec]]:
-    """Kernel basis read off the reduced rows, as (free column f, vector z)
-    pairs: each z is 1 at its own f and 0 at every other free column."""
+def _kernel(rows: Sequence[SparseVec], ncols: int, order: int) -> list[tuple[int, SparseVec]]:
+    """Kernel basis of sparse rows, read off the reduced rows, as (free
+    column f, vector z) pairs: each z is 1 at its own f and 0 at every other
+    free column."""
     reduced, pivots = _row_reduce(rows)
     one = Cyclotomic.one(order)
     basis = []
     for f in sorted(set(range(ncols)) - set(pivots)):
         z = {f: one}
         for row, p in zip(reduced, pivots):
-            if row[f]:
+            if f in row:
                 z[p] = -row[f]
         basis.append((f, z))
     return basis
@@ -716,24 +812,26 @@ def _center_basis(b: GradedAlgebra) -> list[tuple[int, SparseVec]]:
     """Kernel basis of the commutation system e_i x = x e_i over all basis i.
 
     Row z of the system for e_i holds, at column j, the e_z-coefficient of
-    e_i e_j - e_j e_i.  Only its distinct nonzero rows are reduced: the
-    reduced echelon form, and so the kernel basis, depends only on the row
-    space.
+    e_i e_j - e_j e_i.  The rows are built sparse from the cells, and only
+    the distinct nonzero ones are reduced: the reduced echelon form, and so
+    the kernel basis, depends only on the row space.
     """
     n = b.dim
-    zero = Cyclotomic.zero(b.root_order)
-    rows: dict[tuple[Cyclotomic, ...], None] = {}
+    rows: dict[tuple[tuple[int, Cyclotomic], ...], None] = {}
     for i in range(n):
-        commutator = [[zero] * n for _ in range(n)]
+        commutator: dict[int, SparseVec] = {}
         for j in range(n):
             for z, c in b.mult[i][j]:
-                commutator[z][j] = commutator[z][j] + c
+                row = commutator.setdefault(z, {})
+                row[j] = row[j] + c if j in row else c
             for z, c in b.mult[j][i]:
-                commutator[z][j] = commutator[z][j] - c
-        for row in commutator:
-            if any(row):
-                rows.setdefault(tuple(row))
-    return _kernel(list(rows), n, b.root_order)
+                row = commutator.setdefault(z, {})
+                row[j] = row[j] - c if j in row else -c
+        for row in commutator.values():
+            key = tuple((j, x) for j, x in row.items() if x)
+            if key:
+                rows.setdefault(key)
+    return _kernel([dict(key) for key in rows], n, b.root_order)
 
 
 def center_dimension(b: GradedAlgebra) -> int:
@@ -761,21 +859,24 @@ def _left_traces(b: GradedAlgebra, basis: list[tuple[int, SparseVec]]) -> list[C
     return theta
 
 
-def _functional_gram(b: GradedAlgebra, theta: list[Cyclotomic]) -> list[list[Cyclotomic]]:
-    """The bilinear form (e_i, e_j) -> theta(e_i e_j) of a linear functional."""
+def _functional_gram(b: GradedAlgebra, theta: list[Cyclotomic]) -> list[SparseVec]:
+    """The bilinear form (e_i, e_j) -> theta(e_i e_j) of a linear functional,
+    as sparse rows."""
     zero = Cyclotomic.zero(b.root_order)
     return [
-        [sum((c * theta[z] for z, c in cell), zero) for cell in row] for row in b.mult
+        {j: x for j, cell in enumerate(row) if (x := sum((c * theta[z] for z, c in cell), zero))}
+        for row in b.mult
     ]
 
 
-def _restrict(form: list[list[Cyclotomic]], vecs: list[SparseVec], zero: Cyclotomic):
-    """Z^T F Z, for the matrix Z whose columns are the sparse vectors vecs."""
+def _restrict(form: list[SparseVec], vecs: list[SparseVec], zero: Cyclotomic):
+    """Z^T F Z, for F given by sparse rows and the matrix Z whose columns are
+    the sparse vectors vecs."""
 
-    def dot(z: SparseVec, dense: list[Cyclotomic]) -> Cyclotomic:
-        return sum((y * dense[j] for j, y in z.items()), zero)
+    def dot(z: SparseVec, row: SparseVec) -> Cyclotomic:
+        return sum((y * row[j] for j, y in z.items() if j in row), zero)
 
-    columns = [[dot(z, row) for row in form] for z in vecs]  # F z
+    columns = [{i: x for i, row in enumerate(form) if (x := dot(z, row))} for z in vecs]  # F z
     return [[dot(za, col) for col in columns] for za in vecs]
 
 
@@ -813,7 +914,7 @@ def block_decomposition(b: GradedAlgebra) -> tuple[int, ...]:
     for m in range(1, math.isqrt(n) + 1):
         if len(blocks) == r:
             break  # every larger size has count 0
-        diff = [[x - y.scale(m * m) for x, y in zip(ra, rz)] for ra, rz in zip(b_a, b_z)]
+        diff = [dict(enumerate(x - y.scale(m * m) for x, y in zip(ra, rz))) for ra, rz in zip(b_a, b_z)]
         _, pivots = _row_reduce(diff)
         blocks.extend([m] * (r - len(pivots)))
     if len(blocks) != r or sum(m * m for m in blocks) != n:

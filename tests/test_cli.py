@@ -174,6 +174,26 @@ def test_twisted_group_and_extract_roundtrip(capsys, tmp_path):
     assert payload["results"]["blocks"] == [2]
 
 
+def test_s5_twisted_group_and_extract_within_budget(capsys, monkeypatch):
+    # order 120: the n^3 axiom checks and the dense center system took
+    # 13 s and 32 s here; Light's test and the sparse elimination take about 1 s and 3 s
+    start = time.process_time()
+    code, payload = run_json(capsys, "twisted-group", "--group", "S5", "--cocycle", "trivial")
+    elapsed = time.process_time() - start
+    assert code == 0
+    assert payload["results"]["blocks"] == [1, 1, 4, 4, 5, 5, 6]
+    assert payload["results"]["regular_classes"] == 7
+    assert elapsed < 2.0
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload["results"]["algebra"])))
+    start = time.process_time()
+    code, payload = run_json(capsys, "extract-torsion", "--algebra", "-")
+    elapsed = time.process_time() - start
+    assert code == 0
+    assert payload["results"]["blocks"] == [1, 1, 4, 4, 5, 5, 6]
+    assert payload["results"]["regular_classes"] == 7
+    assert elapsed < 5.0
+
+
 def test_twisted_group_named_groups(capsys):
     code, payload = run_json(capsys, "twisted-group", "--group", "S3", "--cocycle", "trivial")
     assert code == 0

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -17,8 +18,11 @@ from qautk.exact_linalg import (
     invariant_factors,
     kernel_basis,
     smith_normal_form,
+    _row_reduce,
 )
+from qautk.cyclotomic import Cyclotomic, cyclotomic_polynomial
 from qautk.dims import DimVector
+from qautk.findim import QC_ZERO, qc
 from qautk.ktheory import boundary_matrix
 
 
@@ -427,19 +431,13 @@ def test_hermite_pass_stays_small_on_large_blocks():
     assert basis == [tuple(x // d for x in k) * 2]
 
 
-def test_transpose_matches_entrywise_definition():
-    rng = random.Random(5)
-    for _ in range(30):
-        a = random_matrix(rng, max_dim=7)
-        t = a.transpose()
-        assert (t.rows, t.cols) == (a.cols, a.rows)
-        assert t.entries == tuple(a.at(i, j) for j in range(a.cols) for i in range(a.rows))
-        assert t.transpose() == a
+def transpose(a: IntMatrix) -> IntMatrix:
+    return IntMatrix(a.cols, a.rows, tuple(a.at(i, j) for j in range(a.cols) for i in range(a.rows)))
 
 
 def test_lattice_membership():
     a = IntMatrix.from_rows([[2, 0], [0, 3]])
-    lat = LatticeBasis(a.transpose())
+    lat = LatticeBasis(transpose(a))
     assert lat.contains((2, 3))
     assert lat.contains((4, 0))
     assert not lat.contains((1, 0))
@@ -454,7 +452,7 @@ def test_lattice_membership():
     rng = random.Random(3)
     for _ in range(40):
         gens = IntMatrix(3, 2, tuple(rng.randint(-4, 4) for _ in range(6)))
-        lat = LatticeBasis(gens.transpose())
+        lat = LatticeBasis(transpose(gens))
         for _ in range(10):
             x, y = rng.randint(-3, 3), rng.randint(-3, 3)
             v = gens.apply((x, y))
@@ -478,3 +476,90 @@ def test_huge_entries_are_exact():
     dec = assert_valid_decomposition(a)
     # det = big^2 - (big^2 - 1) = 1, so the matrix is unimodular
     assert dec.invariant_factors == (1, 1)
+
+
+# -- elimination over exact fields ---------------------------------------------
+
+
+def gauss_jordan(rows):
+    """Dense reduced row echelon form by Gauss-Jordan: the oracle for the
+    sparse ``_row_reduce``.  Returns all rows (zero rows last) and the pivot
+    column of each nonzero row."""
+    m = [list(row) for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def _field_samplers():
+    """(name, zero, random element) for each exact field the library uses."""
+
+    def rational(rng):
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    out = [("Fraction", Fraction(0), rational)]
+    out.append(("ComplexRational", QC_ZERO, lambda rng: qc(rational(rng), rational(rng))))
+    for m in (3, 4, 5, 8, 12):
+        deg = len(cyclotomic_polynomial(m)) - 1
+        out.append((
+            f"Cyclotomic({m})",
+            Cyclotomic.zero(m),
+            lambda rng, m=m, deg=deg: Cyclotomic.from_coeffs(m, [rational(rng) for _ in range(deg)]),
+        ))
+    return out
+
+
+def _random_system(rng, zero, sample):
+    """Dense rows with zero, duplicate and dependent rows mixed in."""
+    ncols = rng.randint(1, 7)
+    rows = [
+        [sample(rng) if rng.random() < 0.5 else zero for _ in range(ncols)]
+        for _ in range(rng.randint(0, 6))
+    ]
+    if rows:
+        for _ in range(rng.randint(0, 3)):
+            rows.append(list(rng.choice(rows)))
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.choice(rows), rng.choice(rows)
+            fa, fb = sample(rng), sample(rng)
+            rows.append([fa * x + fb * y for x, y in zip(a, b)])
+    rows.extend([zero] * ncols for _ in range(rng.randint(0, 2)))
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("field", _field_samplers(), ids=lambda f: f[0])
+def test_sparse_row_reduce_matches_dense_gauss_jordan(field):
+    # the reduced echelon form is unique, so both routes give the same rows
+    _, zero, sample = field
+    rng = random.Random(len(field[0]))
+    for _ in range(40):
+        dense = _random_system(rng, zero, sample)
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in dense]
+        copies = [dict(row) for row in sparse]
+        reduced, pivots = _row_reduce(sparse)
+        expected, expected_pivots = gauss_jordan(dense)
+        assert pivots == expected_pivots
+        assert reduced == [{j: x for j, x in enumerate(row) if x} for row in expected[: len(pivots)]]
+        assert not any(any(row) for row in expected[len(pivots):])
+        assert all(row[p] * row[p] == row[p] for row, p in zip(reduced, pivots))  # pivots are 1
+        assert sparse == copies  # the input is not modified
+        # explicit zero entries are allowed in the input
+        assert _row_reduce(dict(enumerate(row)) for row in dense) == (reduced, pivots)

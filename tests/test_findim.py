@@ -72,9 +72,9 @@ def test_mu_mu_star_matrix_block_oracle():
     alg = FinDimAlgebra.of(2)
     q = [[qc(Fraction(1, 2)), qc(Fraction(1, 8))], [qc(Fraction(1, 8)), qc(Fraction(1, 2))]]
     p = mu_mu_star(alg, AlgState(alg, [q]))
-    reduced, pivots = _row_reduce([row + ident for row, ident in zip(q, qc_identity(2))])
+    reduced, pivots = _row_reduce(dict(enumerate(row + ident)) for row, ident in zip(q, qc_identity(2)))
     assert pivots == [0, 1]
-    qi = [row[2:] for row in reduced]
+    qi = [[row.get(2 + j, QC_ZERO) for j in range(2)] for row in reduced]
     assert qc_matmul(qi, q) == qc_identity(2)
     lam = qi[0][0] + qi[1][1]
     for i in range(4):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -19,6 +20,8 @@ from qautk.torsion import (
     is_ergodic,
     regular_class_count,
     twisted_group_algebra,
+    _algebra_generators,
+    _group_generators,
 )
 
 ALL_GROUPS_UP_TO_EIGHT = [
@@ -536,3 +539,255 @@ def test_axiom_violations_named():
             ((((1, one),), ((0, one),)), (((0, one),), ())),
             (((0, one),), ((1, one),)),
         )
+
+
+# -- Light's associativity test against the n^3 oracle ------------------------
+
+
+def _table_failures(table):
+    n = len(table)
+    return [
+        (i, j, k)
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+        if table[table[i][j]][k] != table[i][table[j][k]]
+    ]
+
+
+def _cocycle_failures(group, m, w):
+    n, mul = group.order, group.mul
+    return [
+        (s, t, u)
+        for s in range(n)
+        for t in range(n)
+        for u in range(n)
+        if (w[s][t] + w[mul(s, t)][u] - w[t][u] - w[s][mul(t, u)]) % m
+    ]
+
+
+def _expand(terms):
+    """Sum of a * cell over (a, cell) pairs, as a dict without zeros."""
+    acc = {}
+    for a, cell in terms:
+        for z, c in cell:
+            acc[z] = acc[z] + a * c if z in acc else a * c
+    return {z: c for z, c in acc.items() if c}
+
+
+def _structure_failures(mult):
+    n = len(mult)
+    return [
+        (i, j, k)
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+        if _expand((c, mult[z][k]) for z, c in mult[i][j]) != _expand((c, mult[i][y]) for y, c in mult[j][k])
+    ]
+
+
+def _witness(message):
+    return tuple(int(x) for x in message.split("(")[-1].rstrip(")").split(", "))
+
+
+def _first_with_middle_in(failures, gens):
+    return min(t for t in failures if t[1] in gens)
+
+
+def _relabel(group, rng):
+    """An isomorphic table, by a random permutation fixing the identity."""
+    n, e = group.order, group.identity
+    rest = [x for x in range(n) if x != e]
+    perm = dict(zip(rest, rng.sample(rest, len(rest))))
+    perm[e] = e
+    inv = {v: k for k, v in perm.items()}
+    return tuple(tuple(perm[group.mul(inv[a], inv[b])] for b in range(n)) for a in range(n))
+
+
+_LIGHT_GROUPS = {
+    "S3": FiniteGroup.symmetric(3),
+    "D4": FiniteGroup.dihedral(4),
+    "Q8": FiniteGroup.quaternion(),
+    "S4": FiniteGroup.symmetric(4),
+}
+
+
+def _group_corruptions(group):
+    """Checks seeded corruptions of one table; returns how many of them the
+    n^3 loop would first have failed at a middle index outside S."""
+    n, e = group.order, group.identity
+    rng = random.Random(n)
+    middle_outside = 0
+    for _ in range(30):
+        # one entry off the identity's row and column, leaving every row an
+        # inverse, so the table reaches the associativity check
+        a, b = rng.randrange(n), rng.randrange(n)
+        if e in (a, b) or group.mul(a, b) == e:
+            continue
+        table = [list(row) for row in group.table]
+        table[a][b] = rng.choice([x for x in range(n) if x not in (e, table[a][b])])
+        failures = _table_failures(table)
+        assert failures
+        with pytest.raises(GroupTableError, match="associativity fails") as err:
+            FiniteGroup(tuple(map(tuple, table)), e)
+        gens = _group_generators(table)
+        assert _witness(str(err.value)) == _first_with_middle_in(failures, gens)
+        middle_outside += failures[0][1] not in gens
+    for _ in range(5):
+        table = _relabel(group, rng)
+        assert not _table_failures(table)
+        FiniteGroup(table, e)
+    return middle_outside
+
+
+def test_group_associativity_matches_cubic_oracle():
+    for group in _LIGHT_GROUPS.values():
+        assert len(_group_generators(group.table)) <= 1 + math.floor(math.log2(group.order))
+    # some corruptions make the n^3 loop stop at a triple whose middle is
+    # outside S, which the new check never looks at; it must still raise
+    assert sum(_group_corruptions(group) for group in _LIGHT_GROUPS.values()) > 0
+
+
+def test_generating_set_closes_old_words_under_a_new_generator():
+    # a b = c and every other product zero: c is reached only as an old
+    # word times the new generator b, so S = {a, b}
+    one = Cyclotomic.one(1)
+    mult = ((((), ((2, one),), ()), ((), (), ()), ((), (), ())))
+    assert _algebra_generators(mult, 1) == [0, 1]
+    # the zero product generates nothing, so S is every index
+    assert _algebra_generators((((), ()), ((), ())), 1) == [0, 1]
+
+
+def _light_cocycles():
+    d4 = FiniteGroup.dihedral(4)
+    return {
+        "pauli": Cocycle.pauli(),
+        "bilinear:4x4": Cocycle.bilinear_on_product(4, 4),
+        "D4 coboundary:3": _coboundary(d4, 3),
+    }
+
+
+def _cocycle_corruptions(omega):
+    group, m = omega.group, omega.root_order
+    n, e = group.order, group.identity
+    gens = _group_generators(group.table)
+    rng = random.Random(n * m)
+    middle_outside = 0
+    for _ in range(30):
+        s, t = rng.randrange(n), rng.randrange(n)
+        if e in (s, t):
+            continue  # normalization is checked first
+        table = [list(row) for row in omega.table]
+        table[s][t] = rng.choice([x for x in range(m) if x != table[s][t]])
+        failures = _cocycle_failures(group, m, table)
+        assert failures
+        with pytest.raises(CocycleError, match="cocycle identity fails") as err:
+            Cocycle(group, m, tuple(map(tuple, table)))
+        assert _witness(str(err.value)) == _first_with_middle_in(failures, gens)
+        middle_outside += failures[0][1] not in gens
+    # a coboundary times the cocycle is a cocycle again
+    beta = [0 if x == e else rng.randrange(m) for x in range(n)]
+    twisted = [
+        [(omega.value(x, y) + beta[x] + beta[y] - beta[group.mul(x, y)]) % m for y in range(n)] for x in range(n)
+    ]
+    assert not _cocycle_failures(group, m, twisted)
+    Cocycle(group, m, tuple(map(tuple, twisted)))
+    return middle_outside
+
+
+def test_cocycle_identity_matches_cubic_oracle():
+    assert sum(_cocycle_corruptions(omega) for omega in _light_cocycles().values()) > 0
+
+
+def _light_algebras():
+    mult, star = _m2_sheared()
+    m2 = GradedAlgebra(
+        group=FiniteGroup.cyclic(1),
+        basis_labels=("e11+e12", "e12", "e21", "e22"),
+        grading=(0,) * 4,
+        root_order=1,
+        mult=mult,
+        star=star,
+    )
+    algebras = {"m2 sheared": m2}
+    for name in ("pauli", "bilinear:2x4", "Q8 coboundary:5", "D4 trivial"):
+        algebras[name] = twisted_group_algebra(_CATALOGUE[name]())
+    return algebras
+
+
+def _with_mult(alg, mult):
+    return GradedAlgebra(alg.group, alg.basis_labels, alg.grading, alg.root_order, mult, alg.star)
+
+
+def _mirrored_corruption(alg, a, b, z, eps):
+    """Add eps e_z to e_a e_b and the involution's mirror of that change,
+    conj((e_j*)_a (e_i*)_b eps) e_z*, to every e_i e_j.  With D the single
+    change, x y + D(x, y) + D(y*, x*)* is anti-multiplicative again, so
+    only associativity can fail."""
+    n = alg.dim
+    one = Cyclotomic.one(alg.root_order)
+    stars = [alg.star_vector(alg.vec_of_basis(i)) for i in range(n)]
+    mult = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            terms = [(one, alg.mult[i][j])]
+            if (i, j) == (a, b):
+                terms.append((eps, ((z, one),)))
+            coeff = stars[j].get(a)
+            if coeff is not None and b in stars[i]:
+                terms.append(((coeff * stars[i][b] * eps).conjugate(), alg.star[z]))
+            row.append(tuple(sorted(_expand(terms).items())))
+        mult.append(tuple(row))
+    return tuple(mult)
+
+
+def _structure_corruptions(alg):
+    n, order = alg.dim, alg.root_order
+    rng = random.Random(n * order)
+    middle_outside = 0
+    for _ in range(12):
+        a, b = rng.randrange(n), rng.randrange(n)
+        # stay in the graded component of the product
+        z = rng.choice([x for x in range(n) if alg.grading[x] == alg.group.mul(alg.grading[a], alg.grading[b])])
+        eps = Cyclotomic.root(order, rng.randrange(order)).scale(Fraction(rng.choice([-2, -1, 1, 3]), 2))
+        mult = _mirrored_corruption(alg, a, b, z, eps)
+        failures = _structure_failures(mult)
+        corrupted = _with_mult(alg, mult)
+        if not failures:
+            corrupted.validate()
+            continue
+        with pytest.raises(GradedAlgebraError, match="not associative") as err:
+            corrupted.validate()
+        gens = _algebra_generators(mult, order)
+        assert _witness(str(err.value)) == _first_with_middle_in(failures, gens)
+        middle_outside += failures[0][1] not in gens
+    # one coefficient changed alone: validate raises exactly when some axiom fails
+    for _ in range(12):
+        a, b = rng.randrange(n), rng.randrange(n)
+        cell = alg.mult[a][b]
+        if not cell:
+            continue
+        mult = [list(row) for row in alg.mult]
+        mult[a][b] = ((cell[0][0], cell[0][1].scale(2)),) + cell[1:]
+        mult = tuple(map(tuple, mult))
+        with pytest.raises(GradedAlgebraError, match="not anti-multiplicative|not associative"):
+            _with_mult(alg, mult).validate()
+        assert _structure_failures(mult) or not _star_is_anti_multiplicative(alg, mult)
+    return middle_outside
+
+
+def test_structure_constants_associativity_matches_cubic_oracle():
+    assert sum(_structure_corruptions(alg) for alg in _light_algebras().values()) > 0
+
+
+def _star_is_anti_multiplicative(alg, mult):
+    n = alg.dim
+    stars = [alg.star_vector(alg.vec_of_basis(i)) for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            lhs = _expand((c.conjugate(), alg.star[z]) for z, c in mult[i][j])
+            rhs = _expand((x * y, mult[u][v]) for u, x in stars[j].items() for v, y in stars[i].items())
+            if lhs != rhs:
+                return False
+    return True
