@@ -229,6 +229,7 @@ def _cmd_resolution_check(args):
             "d0_surjective": report.d0_surjective,
             "degree_bound": report.degree_bound,
             "certified_degree": report.certified_degree,
+            "all_degrees": report.all_degrees,
         }
         if report.uncovered is not None:
             degree, slot = report.uncovered
@@ -451,19 +452,26 @@ def _cmd_sweep(args):
     failures = []
     warnings: list[str] = []
     for dims in samples:
-        if not verify_theorem(dims):
-            failures.append({"dims": str(dims), "stage": "verify"})
+        verify = {"dims": str(dims), "stage": "verify", "reproducer": f"qautk verify --dims {dims}"}
+        try:
+            verified = verify_theorem(dims)
+        except RuntimeError as exc:  # an internal consistency check of k_theory
+            failures.append({**verify, "error": str(exc)})
             continue
+        if not verified:
+            failures.append(verify)
+            continue
+        rerun = f"qautk resolution-check --dims {dims} --degree {args.degree} --test"
         # the canonical delta-form has delta^2 = sum k_i^2, the t-action on C
         algebra = FinDimAlgebra(dims)
         delta_squared = is_delta_form(algebra, AlgState.canonical(algebra)).delta_squared
         if not delta_squared == dims.algebra_dim == derive_t_action(dims, TEST_TRIVIAL):
-            failures.append({"dims": str(dims), "stage": "delta-form"})
+            failures.append({"dims": str(dims), "stage": "delta-form", "reproducer": f"{rerun} {TEST_TRIVIAL}"})
         if not args.skip_resolution:
             for test in TEST_OBJECTS:
                 report = check_exactness(dims, test, args.degree)
                 if not report.exact:
-                    failures.append({"dims": str(dims), "stage": f"resolution-{test}"})
+                    failures.append({"dims": str(dims), "stage": f"resolution-{test}", "reproducer": f"{rerun} {test}"})
         w = dims.scope_warning()
         if w and w not in warnings:
             warnings.append(w)

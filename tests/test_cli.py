@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -428,7 +429,65 @@ def test_sweep_records_delta_form_mismatch(capsys, monkeypatch):
     )
     assert code == 1
     assert payload["results"]["failures"] == [
-        {"dims": str(dims), "stage": "delta-form"} for dims in random_dim_vectors(3, 3, 4, seed=5)
+        {
+            "dims": str(dims),
+            "stage": "delta-form",
+            "reproducer": f"qautk resolution-check --dims {dims} --degree 12 --test C",
+        }
+        for dims in random_dim_vectors(3, 3, 4, seed=5)
+    ]
+
+
+def test_sweep_records_k_theory_error_with_a_reproducer(capsys, monkeypatch):
+    from qautk.dims import random_dim_vectors
+
+    samples = random_dim_vectors(4, 3, 4, seed=6)
+
+    def verify(dims):
+        if dims == samples[1]:
+            raise RuntimeError("kernel generator does not satisfy the boundary")
+        return dims != samples[2]
+
+    monkeypatch.setattr("qautk.cli.verify_theorem", verify)
+    code, payload = run_json(
+        capsys, "sweep", "--max-n", "3", "--max-k", "4", "--samples", "4", "--seed", "6",
+        "--skip-resolution",
+    )
+    assert code == 1
+    assert payload["results"]["samples"] == 4  # the run went on past the error
+    assert payload["results"]["failures"] == [
+        {
+            "dims": str(samples[1]),
+            "stage": "verify",
+            "reproducer": f"qautk verify --dims {samples[1]}",
+            "error": "kernel generator does not satisfy the boundary",
+        },
+        {"dims": str(samples[2]), "stage": "verify", "reproducer": f"qautk verify --dims {samples[2]}"},
+    ]
+
+
+def test_sweep_resolution_failure_carries_a_reproducer(capsys, monkeypatch):
+    import qautk.cli as cli
+    from qautk.dims import random_dim_vectors
+
+    check = cli.check_exactness
+
+    def only_c_fails(dims, test, degree):
+        report = check(dims, test, degree)
+        return dataclasses.replace(report, uncovered=(0, 0)) if test == "C" else report
+
+    monkeypatch.setattr("qautk.cli.check_exactness", only_c_fails)
+    code, payload = run_json(
+        capsys, "sweep", "--max-n", "3", "--max-k", "4", "--samples", "2", "--seed", "7", "--degree", "9",
+    )
+    assert code == 1
+    assert payload["results"]["failures"] == [
+        {
+            "dims": str(dims),
+            "stage": "resolution-C",
+            "reproducer": f"qautk resolution-check --dims {dims} --degree 9 --test C",
+        }
+        for dims in random_dim_vectors(2, 3, 4, seed=7)
     ]
 
 

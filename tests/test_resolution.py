@@ -5,7 +5,7 @@ import pytest
 
 from qautk import cli, resolution
 from qautk.dims import DimVector
-from qautk.exact_linalg import LatticeBasis, kernel_basis
+from qautk.exact_linalg import IntMatrix, LatticeBasis, invariant_factors, kernel_basis
 from qautk.repring import HALF_INTEGRAL, INTEGRAL, RepRingElement
 from qautk.resolution import (
     TEST_ALGEBRA,
@@ -13,12 +13,12 @@ from qautk.resolution import (
     TEST_TRIVIAL,
     EvaluationMap,
     InconsistentComplexError,
+    _d1_injective,
     _d1_matrix,
     _differential,
     _row_parities,
     _shift_kernel_basis,
     _source_generators,
-    _truncated_d0,
     build_complex,
     check_exactness,
     derive_t_action,
@@ -40,6 +40,40 @@ def dense(d1):
         return tuple(d.get(q, 0) for q in range(e.degree + 1))
 
     return tuple(tuple(coeffs(e) for e in row) for row in d1)
+
+
+# -- the truncated route, kept as the oracle for check_exactness -------------
+
+def _truncated_d0(ev, degree):
+    """Matrix of the evaluation on degrees 0..degree, degree-major columns."""
+    nslots = len(ev.slot_images)
+    powers = [ev.t_power_images(s, degree) for s in range(nslots)]
+    return IntMatrix.from_rows(
+        [[powers[s][m][i] for m in range(degree + 1) for s in range(nslots)] for i in range(ev.target_rank)]
+    )
+
+
+def truncated_check(dims, test, degree_bound):
+    """(d1_injective, uncovered, d0_surjective) of the complex truncated at
+    degree_bound: the rank of a Hermite lattice of the truncated d1, each
+    vector of the shift basis of ker d0 below degree_bound tested for
+    membership in it, and the Smith invariants of the truncated d0."""
+    d1, ev = resolution.build_complex(dims, test)
+    tgt_len = (degree_bound + 2) * len(ev.slot_images)
+    cols = resolution._truncated_d1_columns(d1, degree_bound)
+    image = LatticeBasis.from_rows(cols, tgt_len)
+    uncovered = next(
+        (
+            label
+            for label, vec in _shift_kernel_basis(ev, degree_bound - 1)
+            if not image.contains(vec + [0] * (tgt_len - len(vec)))
+        ),
+        None,
+    )
+    factors = invariant_factors(_truncated_d0(ev, degree_bound))
+    r = ev.target_rank
+    surjective = sum(1 for d in factors if d) == r and all(d == 1 for d in factors[:r])
+    return image.rank == len(cols), uncovered, surjective
 
 
 def test_trivial_test_display():
@@ -203,11 +237,8 @@ def test_action_solver_rejects_bad_systems(monkeypatch):
 
 
 def test_checker_flags_non_surjective_evaluation():
-    # an evaluation landing in 2Z is reported as non-surjective by the same
-    # machinery check_exactness uses
-    from qautk.exact_linalg import invariant_factors
-    from qautk.resolution import EvaluationMap, _truncated_d0
-
+    # an evaluation landing in 2Z is reported as non-surjective by the
+    # truncated route
     ev = EvaluationMap(
         target_rank=1,
         slot_images=((2,),),
@@ -294,3 +325,140 @@ def test_coverage_failure_names_first_uncovered_vector(monkeypatch, capsys):
 def test_no_witness_when_covered():
     report = check_exactness(DimVector.of(2, 3), TEST_ALGEBRA, 8)
     assert report.kernel_covered and report.uncovered is None
+
+
+def test_certificate_matches_truncated_oracle():
+    rng = random.Random(12)
+    for trial in range(40):
+        n = rng.randint(1, 10)
+        dims = DimVector(tuple(rng.randint(1, 12) for _ in range(n)))
+        degree_bound = 2 + trial * 30 // 39  # 2..32
+        for test in TEST_OBJECTS:
+            report = check_exactness(dims, test, degree_bound)
+            injective, uncovered, surjective = truncated_check(dims, test, degree_bound)
+            assert report.d1_injective == injective
+            assert report.kernel_covered == (uncovered is None)
+            assert report.d0_surjective == surjective
+            assert report.exact == report.all_degrees == (injective and uncovered is None and surjective)
+
+
+def test_generator_shifts_span_the_truncated_kernel(monkeypatch):
+    # the t-shifts of the generators that check_exactness certifies span
+    # kernel_basis of the truncated d0 (Smith, the second route to ker d0)
+    certified = []
+    solve = resolution._solve_preimages
+
+    def spy(d1, targets):
+        certified.append(targets)
+        return solve(d1, targets)
+
+    monkeypatch.setattr(resolution, "_solve_preimages", spy)
+    rng = random.Random(4)
+    for trial in range(16):
+        n = rng.randint(1, 6)
+        dims = DimVector(tuple(rng.randint(1, 9) for _ in range(n)))
+        degree = 1 + trial % 6
+        for test in TEST_OBJECTS:
+            assert check_exactness(dims, test, degree + 1).exact
+            _, ev = build_complex(dims, test)
+            nslots = len(ev.slot_images)
+            generators = certified.pop()
+            assert len(generators) == 2 * nslots - ev.target_rank
+            width = (degree + 1) * nslots
+            shifts = []  # t^j g for every j keeping the degree <= degree
+            for g in generators:
+                top = max(i for i, c in enumerate(g) if c) // nslots
+                for j in range(degree - top + 1):
+                    vec = [0] * width
+                    vec[j * nslots : j * nslots + len(g)] = g[: width - j * nslots]
+                    shifts.append(vec)
+            d0 = _truncated_d0(ev, degree)
+            smith = [list(v) for v in kernel_basis(d0)]
+            assert all(d0.apply(v) == (0,) * ev.target_rank for v in shifts)
+            lattice = LatticeBasis.from_rows(shifts, width)
+            assert all(lattice.contains(v) for v in smith)
+
+
+def _corrupt_complex(monkeypatch, corrupt):
+    build = resolution.build_complex
+    monkeypatch.setattr(resolution, "build_complex", lambda k, test: corrupt(*build(k, test)))
+
+
+def test_wrong_t_shift_is_not_certified(monkeypatch):
+    def corrupt(d1, ev):
+        t = [list(row) for row in ev.t_action]
+        t[0][-1] += 1
+        return d1, EvaluationMap(ev.target_rank, ev.slot_images, tuple(map(tuple, t)))
+
+    _corrupt_complex(monkeypatch, corrupt)
+    for test in TEST_OBJECTS:
+        report = check_exactness(DimVector.of(2, 3), test, 8)
+        assert report.d1_injective and report.d0_surjective
+        assert not report.kernel_covered and not report.exact
+        assert report.uncovered[0] == 1  # only the degree-1 generators use T
+        assert truncated_check(DimVector.of(2, 3), test, 8)[1] is not None
+
+
+def test_corrupted_preimage_fails_the_product_check(monkeypatch):
+    solve = resolution._solve_preimages
+
+    def corrupt(d1, targets):
+        solutions = solve(d1, targets)
+        solutions[1][0] += 1  # still integral
+        return solutions
+
+    monkeypatch.setattr(resolution, "_solve_preimages", corrupt)
+    for test in TEST_OBJECTS:
+        _, ev = build_complex(DimVector.of(2, 3), test)
+        report = check_exactness(DimVector.of(2, 3), test, 8)
+        assert report.d1_injective and not report.kernel_covered
+        assert report.uncovered == _shift_kernel_basis(ev, 1)[1][0]
+
+
+def test_singular_d1_is_not_injective(monkeypatch):
+    # replacing the corner t of the trivial test object's d1 by sum k_i^2
+    # keeps d0 o d1 = 0 and makes det d1 = t - sum k_i^2 vanish: (k, 1) is in
+    # the kernel
+    dims = DimVector.of(2, 3)
+
+    def corrupt(d1, ev):
+        corner = RepRingElement.from_dict(d1[-1][-1].parity, {0: dims.algebra_dim})
+        return d1[:-1] + (d1[-1][:-1] + (corner,),), ev
+
+    _corrupt_complex(monkeypatch, corrupt)
+    report = check_exactness(dims, TEST_TRIVIAL, 8)
+    assert not report.d1_injective and not report.exact and not report.all_degrees
+    assert truncated_check(dims, TEST_TRIVIAL, 8)[0] is False
+
+
+def test_injectivity_tries_every_needed_evaluation_point():
+    # diag(t - 0, ..., t - c + 1) is singular at t0 = 0..c-1 and injective;
+    # with the last entry t - c it is singular at t0 = c as well
+    zero = RepRingElement.zero()
+    for c in range(1, 6):
+        entries = [poly(-j, 1) if j else poly(0, 1) for j in range(c)]
+        diag = tuple(tuple(entries[i] if i == j else zero for j in range(c)) for i in range(c))
+        assert _d1_injective(diag)
+        shifted = [poly(-j - 1, 1) for j in range(c)]
+        diag = tuple(tuple(shifted[i] if i == j else zero for j in range(c)) for i in range(c))
+        assert _d1_injective(diag)
+        rank_one = tuple((poly(1, 1),) * c for _ in range(c))
+        assert _d1_injective(rank_one) == (c == 1)
+
+
+def test_degree_bound_does_not_drive_the_cost(monkeypatch, capsys):
+    degrees = []
+    truncate = resolution._truncated_d1_columns
+
+    def spy(d1, degree):
+        degrees.append(degree)
+        return truncate(d1, degree)
+
+    monkeypatch.setattr(resolution, "_truncated_d1_columns", spy)
+    code = cli.main(["resolution-check", "--dims", "2,3", "--degree", "100000", "--json"])
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert code == 0
+    assert degrees and max(degrees) <= 2
+    for test in TEST_OBJECTS:
+        assert results[test]["exact"] is results[test]["all_degrees"] is True
+        assert results[test]["certified_degree"] == 99999
