@@ -2,11 +2,11 @@
 
 Exit codes: 0 on success (and on verified checks), 1 when a verification
 fails (theorem mismatch, non-exact complex, rank mismatch, rejected
-delta-form, block count mismatch, two Smith routes that disagree), 2 on
-malformed input.  Reports go to standard output as JSON when piped or with
---json, and as a readable table on a terminal or with --table.  All numbers
-in JSON are exact: integers beyond 2^53 become decimal strings and
-rationals are "p/q" strings.
+delta-form, block count mismatch, a Smith certificate that fails or two
+Smith routes that disagree), 2 on malformed input.  Reports go to standard
+output as JSON when piped or with --json, and as a readable table on a
+terminal or with --table.  All numbers in JSON are exact: integers beyond
+2^53 become decimal strings and rationals are "p/q" strings.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import __version__
 from .dims import DimVector, random_dim_vectors
-from .exact_linalg import FgAbelianGroup, IntMatrix, invariant_factors, smith_normal_form
+from .exact_linalg import FgAbelianGroup, IntMatrix, hermite_normal_form, invariant_factors, smith_normal_form
 from .findim import AlgState, ComplexRational, FinDimAlgebra, is_delta_form
 from .ktheory import closed_form, k_theory, verify_theorem
 from .magic import generator_rank_report
@@ -251,15 +251,49 @@ def _cmd_snf(args):
         "U": dec.U,
         "V": dec.V,
     }
-    # second route: Smith modulo the pivot product of the Hermite rows
-    modular = invariant_factors(matrix)
-    if modular != dec.invariant_factors:
+    failure = _snf_certificate_failure(matrix, dec)
+    if failure:
+        return results, [f"CERTIFICATE FAILED: {failure}"], 1
+    # second route: the same Hermite alternation without U and V
+    second = invariant_factors(matrix)
+    if second != dec.invariant_factors:
         warning = (
             f"MISMATCH: Smith diagonal {list(dec.invariant_factors)}, "
-            f"Hermite-modular route {list(modular)}"
+            f"invariant_factors {list(second)}"
         )
         return results, [warning], 1
     return results, [], 0
+
+
+def _snf_certificate_failure(matrix: IntMatrix, dec) -> str | None:
+    """The first part of the Smith certificate that fails, with a witness,
+    or None: U A V = S exactly, U and V unimodular (their Hermite form is
+    the identity), and S diagonal with a nonnegative divisibility chain
+    that equals the reported invariant factors."""
+    m, n = matrix.rows, matrix.cols
+    shapes = [(x.rows, x.cols) for x in (dec.U, dec.S, dec.V)]
+    if shapes != [(m, m), (m, n), (n, n)]:
+        return f"U, S, V have shapes {shapes}, expected {[(m, m), (m, n), (n, n)]}"
+    product = dec.U @ matrix @ dec.V
+    for i in range(m):
+        for j in range(n):
+            if product.at(i, j) != dec.S.at(i, j):
+                return f"(U A V)[{i}][{j}] = {product.at(i, j)} but S[{i}][{j}] = {dec.S.at(i, j)}"
+    for name, x in (("U", dec.U), ("V", dec.V)):
+        if hermite_normal_form(x).H != IntMatrix.identity(x.rows):
+            return f"{name} is not unimodular: its Hermite form is not the identity"
+    for i in range(m):
+        for j in range(n):
+            if i != j and dec.S.at(i, j):
+                return f"S[{i}][{j}] = {dec.S.at(i, j)} is off the diagonal"
+    diagonal = [dec.S.at(i, i) for i in range(min(m, n))]
+    for k, d in enumerate(diagonal):
+        prev = diagonal[k - 1] if k else 1
+        if d < 0 or (d % prev if prev else d):
+            return f"the diagonal of S breaks the divisibility chain at index {k}: {diagonal}"
+    if tuple(diagonal) != dec.invariant_factors:
+        return f"invariant factors {list(dec.invariant_factors)} are not the diagonal of S {diagonal}"
+    return None
 
 
 def _parse_qc_entry(value) -> ComplexRational:

@@ -5,16 +5,20 @@ and cokernels, and finitely generated abelian groups in invariant-factor
 form, all on Python's arbitrary-precision integers, so no operation can
 overflow.
 
-The Hermite engine and the lattice membership test work on sparse rows
-(column -> nonzero entry), since the lattices they serve are mostly zeros.
-Rank, kernel and invariant factors all start from that Hermite pass: its r
-nonzero rows H (r the rank) span the row lattice of A, so they have A's
-kernel and A's nonzero invariant factors.  The invariant factors come from
-Smith on H modulo the product of its pivots, which bounds every entry
-(Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987); the kernel from the
-V transform of Smith on H.  Min-pivot Smith on a whole matrix, whose entries
-can explode (Kannan and Bachem, SIAM J. Comput. 8, 1979), is left to
-``smith_normal_form``, which alone returns U and V.
+One integer engine serves every normal form: ``_hnf_engine``, a sparse,
+incremental row Hermite pass (rows map a column to its nonzero entry,
+since the lattices served are mostly zeros).  A pass run on the rows
+augmented with I also returns its transform.  On top of it:
+
+* the invariant factors alternate Hermite passes on the rows and on their
+  transpose until each row has one entry, then turn that diagonal into a
+  divisibility chain by pairwise gcd and lcm (Kannan and Bachem, SIAM J.
+  Comput. 8, 1979); each pass reduces its rows, so entries stay bounded;
+* ``smith_normal_form`` runs the same alternation on rows augmented with
+  I, so U and V come out of the passes, and the 2x2 gcd/lcm step of the
+  chain is applied to them too;
+* ``kernel_basis`` reads the saturated kernel from one pass of [Aᵀ | I];
+* ``FgAbelianGroup`` canonicalizes torsion by the same gcd/lcm chain.
 
 One sparse, incremental reduced-echelon elimination serves every exact
 field the library uses: rationals, Gaussian rationals and cyclotomic fields.
@@ -103,9 +107,6 @@ class IntMatrix:
             for i in range(self.rows)
         )
 
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
-
     def to_text(self) -> str:
         """Render in the shared text format: "rows cols" then entry rows."""
         lines = [f"{self.rows} {self.cols}"]
@@ -133,232 +134,6 @@ class IntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """U @ A @ V = S with U, V unimodular and S diagonal.
-
-    ``invariant_factors`` is the diagonal of S: a divisibility chain of
-    nonnegative integers with all zeros trailing.
-    """
-
-    S: IntMatrix
-    U: IntMatrix
-    V: IntMatrix
-    invariant_factors: tuple[int, ...]
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.invariant_factors if d != 0)
-
-
-def _identity_lists(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _negate_row(m, i):
-    m[i] = [-x for x in m[i]]
-
-
-def _swap_cols(m, j, k):
-    for row in m:
-        row[j], row[k] = row[k], row[j]
-
-
-def _smith_engine(data, rows, cols, want_u, want_v, modulus=0):
-    """Diagonalize ``data`` in place by unimodular operations.
-
-    Pivots are chosen with minimal absolute value in the working submatrix.
-    Each accepted pivot is made to divide every entry of the remaining
-    submatrix, so the diagonal is already a divisibility chain when the loop
-    ends.
-
-    With a nonzero ``modulus`` D (and entries given in [0, D)) every row
-    operation is followed by reduction into [0, D).  That is Smith on the
-    lattice spanned by the rows and D Z^cols, so entries never reach D; the
-    diagonal entries s_i then satisfy gcd(s_i, D) | gcd(s_(i+1), D).  U and
-    V are not tracked in this mode.
-
-    Returns (matrix, u, v, factors) where u, v are None unless requested.
-    """
-    m = data
-    u = _identity_lists(rows) if want_u else None
-    v = _identity_lists(cols) if want_v else None
-    limit = min(rows, cols)
-    t = 0
-    while t < limit:
-        # locate a pivot of minimal magnitude
-        best = 0
-        pi = pj = -1
-        for i in range(t, rows):
-            mi = m[i]
-            for j in range(t, cols):
-                e = mi[j]
-                if e:
-                    if e < 0:
-                        e = -e
-                    if best == 0 or e < best:
-                        best, pi, pj = e, i, j
-                        if best == 1:
-                            break
-            if best == 1:
-                break
-        if pi < 0:
-            break  # working submatrix is zero
-        if pi != t:
-            m[t], m[pi] = m[pi], m[t]
-            if u is not None:
-                u[t], u[pi] = u[pi], u[t]
-        if pj != t:
-            _swap_cols(m, t, pj)
-            if v is not None:
-                _swap_cols(v, t, pj)
-        if m[t][t] < 0:
-            _negate_row(m, t)
-            if u is not None:
-                _negate_row(u, t)
-        while True:
-            piv = m[t][t]
-            # clear column t with row operations
-            restart = False
-            for i in range(rows):
-                if i == t:
-                    continue
-                a = m[i][t]
-                if not a:
-                    continue
-                q = a // piv
-                if q:
-                    mi, mt = m[i], m[t]
-                    if modulus:
-                        for j2 in range(t, cols):
-                            mi[j2] = (mi[j2] - q * mt[j2]) % modulus
-                    else:
-                        for j2 in range(t, cols):
-                            mi[j2] -= q * mt[j2]
-                    if u is not None:
-                        ui, ut = u[i], u[t]
-                        for j2 in range(rows):
-                            ui[j2] -= q * ut[j2]
-                    a = mi[t]
-                if a:
-                    # positive remainder strictly smaller than the pivot
-                    m[t], m[i] = m[i], m[t]
-                    if u is not None:
-                        u[t], u[i] = u[i], u[t]
-                    restart = True
-                    break
-            if restart:
-                continue
-            # column t is clear, so a column operation only touches row t
-            piv = m[t][t]
-            restart = False
-            for j in range(t + 1, cols):
-                a = m[t][j]
-                if not a:
-                    continue
-                q = a // piv
-                if q:
-                    m[t][j] = a - q * piv
-                    if v is not None:
-                        for r in range(cols):
-                            v[r][j] -= q * v[r][t]
-                    a = m[t][j]
-                if a:
-                    _swap_cols(m, t, j)
-                    if v is not None:
-                        _swap_cols(v, t, j)
-                    restart = True
-                    break
-            if restart:
-                continue
-            piv = m[t][t]
-            if piv != 1:
-                # make the pivot divide the remaining submatrix
-                folded = False
-                for i in range(t + 1, rows):
-                    mi = m[i]
-                    for j in range(t + 1, cols):
-                        if mi[j] % piv:
-                            # row t is zero right of the pivot, so the sum
-                            # stays in [0, modulus)
-                            mt = m[t]
-                            for j2 in range(t, cols):
-                                mt[j2] += mi[j2]
-                            if u is not None:
-                                ut, ui = u[t], u[i]
-                                for j2 in range(rows):
-                                    ut[j2] += ui[j2]
-                            folded = True
-                            break
-                    if folded:
-                        break
-                if folded:
-                    continue
-            break
-        t += 1
-    factors = tuple(m[i][i] for i in range(limit))
-    return m, u, v, factors
-
-
-def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with transformation matrices.
-
-    Returns a decomposition with U @ A @ V = S exactly, |det U| = |det V| = 1,
-    and the diagonal of S a nonnegative divisibility chain.  Empty matrices
-    are allowed.
-    """
-    m, u, v, factors = _smith_engine(A.to_lists(), A.rows, A.cols, True, True)
-    return SmithDecomposition(
-        S=IntMatrix.from_rows(m) if A.rows else IntMatrix(0, A.cols, ()),
-        U=IntMatrix.from_rows(u) if A.rows else IntMatrix(0, 0, ()),
-        V=IntMatrix.from_rows(v) if A.cols else IntMatrix(0, 0, ()),
-        invariant_factors=factors,
-    )
-
-
-def invariant_factors(A: IntMatrix) -> tuple[int, ...]:
-    """Invariant factors only, padded with zeros to min(rows, cols).
-
-    The Hermite rows H of A (r of them, r the rank) have the same nonzero
-    invariant factors, since row operations are unimodular.  The product D
-    of their pivots is a nonzero r x r minor of H, so d_1 ... d_r divides D,
-    and Smith on H modulo D gives d_i = gcd(s_i, D) with every entry below D.
-    """
-    h, pivots = _hermite_rows(A)
-    r = len(pivots)
-    modulus = math.prod(row[c] for row, c in zip(h, pivots))
-    h = [[x % modulus for x in row] for row in h]
-    _, _, _, diagonal = _smith_engine(h, r, A.cols, False, False, modulus)
-    return tuple(math.gcd(s, modulus) for s in diagonal) + (0,) * (min(A.rows, A.cols) - r)
-
-
-def _normalize_vector_sign(vec: list[int]) -> tuple[int, ...]:
-    for x in vec:
-        if x:
-            if x < 0:
-                return tuple(-y for y in vec)
-            break
-    return tuple(vec)
-
-
-def kernel_basis(A: IntMatrix) -> list[tuple[int, ...]]:
-    """Lattice basis of {x : A x = 0}.
-
-    A and its Hermite rows H have the same kernel.  The returned vectors are
-    the columns of V beyond the rank r in the Smith form of the r x cols
-    matrix H, so they span the full (saturated) kernel lattice.  Each vector
-    is normalized so its first nonzero coordinate is positive.
-    """
-    h, pivots = _hermite_rows(A)
-    r = len(pivots)
-    _, _, v, _ = _smith_engine(h, r, A.cols, False, True)
-    return [_normalize_vector_sign([v[i][j] for i in range(A.cols)]) for j in range(r, A.cols)]
-
-
-# ---------------------------------------------------------------------------
 # Hermite normal form
 # ---------------------------------------------------------------------------
 
@@ -382,6 +157,10 @@ class HermiteDecomposition:
 
 def _sparse(row: Sequence[int]) -> dict[int, int]:
     return {j: x for j, x in enumerate(row) if x}
+
+
+def _sparse_rows(A: IntMatrix) -> list[dict[int, int]]:
+    return [_sparse(A.row(i)) for i in range(A.rows)]
 
 
 def _axpy(row: dict, q, pivot_row: dict) -> None:
@@ -429,6 +208,11 @@ def _hnf_engine(rows: Iterable[dict[int, int]]) -> tuple[list[dict[int, int]], l
     seen so far, whereas Euclid run down whole columns grows them by tens
     of bits a column on boundary matrices with large blocks.
     Returns the basis rows in pivot order and their pivot columns.
+
+    The engine records no transform.  A caller that needs one runs it on
+    the rows augmented with I (``_hermite_pass``): the I block of each
+    result row is the combination of input rows that made it, and is
+    reduced with the rest, so it stays bounded too.
     """
     basis: dict[int, dict[int, int]] = {}
 
@@ -488,19 +272,12 @@ def _hnf_engine(rows: Iterable[dict[int, int]]) -> tuple[list[dict[int, int]], l
     return [basis[c] for c in pivots], pivots
 
 
-def _hermite_rows(A: IntMatrix) -> tuple[list[list[int]], list[int]]:
-    """The nonzero rows of the row Hermite form of A, dense, and their
-    pivot columns."""
-    basis, pivots = _hnf_engine(_sparse(A.row(i)) for i in range(A.rows))
-    return [[row.get(j, 0) for j in range(A.cols)] for row in basis], pivots
-
-
 def hermite_normal_form(A: IntMatrix) -> HermiteDecomposition:
     """Row Hermite normal form."""
-    h, pivots = _hermite_rows(A)
-    zero_rows = (0,) * ((A.rows - len(h)) * A.cols)
+    basis, pivots = _hnf_engine(_sparse_rows(A))
+    zero_rows = (0,) * ((A.rows - len(basis)) * A.cols)
     return HermiteDecomposition(
-        H=IntMatrix(A.rows, A.cols, tuple(x for row in h for x in row) + zero_rows),
+        H=IntMatrix(A.rows, A.cols, tuple(row.get(j, 0) for row in basis for j in range(A.cols)) + zero_rows),
         pivot_cols=tuple(pivots),
     )
 
@@ -513,7 +290,7 @@ class LatticeBasis:
     """
 
     def __init__(self, A: IntMatrix):
-        self._reduce((_sparse(A.row(i)) for i in range(A.rows)), A.cols)
+        self._reduce(_sparse_rows(A), A.cols)
 
     @classmethod
     def from_rows(cls, rows: list[list[int]], cols: int) -> "LatticeBasis":
@@ -549,6 +326,185 @@ class LatticeBasis:
                 return False
             _axpy(w, -q, row)
         return True
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form, invariant factors and kernels
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SmithDecomposition:
+    """U @ A @ V = S with U, V unimodular and S diagonal.
+
+    ``invariant_factors`` is the diagonal of S: a divisibility chain of
+    nonnegative integers with all zeros trailing.
+    """
+
+    S: IntMatrix
+    U: IntMatrix
+    V: IntMatrix
+    invariant_factors: tuple[int, ...]
+
+    @property
+    def rank(self) -> int:
+        return sum(1 for d in self.invariant_factors if d != 0)
+
+
+def _transpose(rows: Sequence[dict[int, int]], cols: int) -> list[dict[int, int]]:
+    """The sparse rows of the transpose of a matrix with ``cols`` columns."""
+    out: list[dict[int, int]] = [{} for _ in range(cols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[j][i] = x
+    return out
+
+
+def _hermite_pass(rows, width, track):
+    """One Hermite pass of sparse rows with ``width`` columns.
+
+    Without ``track`` this is ``_hnf_engine``: the nonzero Hermite rows.
+    With ``track`` (one sparse row per row, independent, say those of I)
+    the pass runs on [rows | track] and splits each result row back into its
+    two blocks.  The track block then holds the row operations applied, and
+    a row whose first block is zero is kept, with the track row that makes
+    it zero.  Returns the two lists of blocks (the second None untracked).
+    """
+    if track is None:
+        return _hnf_engine(rows)[0], None
+    basis, _ = _hnf_engine({**row, **{width + j: x for j, x in t.items()}} for row, t in zip(rows, track))
+    return (
+        [{j: x for j, x in row.items() if j < width} for row in basis],
+        [{j - width: x for j, x in row.items() if j >= width} for row in basis],
+    )
+
+
+def _diagonalize(rows, cols, u=None, vt=None):
+    """Entries (i, j, d), d > 0, at most one in each row and each column, of
+    a matrix equivalent to the one with sparse ``rows`` and ``cols`` columns.
+
+    Row Hermite passes alternate on the rows and on their transpose until
+    each row has at most one entry (Kannan and Bachem, SIAM J. Comput. 8,
+    1979).  Each pass leaves its rows reduced, so the entries stay those of
+    a Hermite form instead of exploding as in min-pivot Smith.  With ``u``
+    and ``vt`` (the sparse rows of the identity on either side) each pass
+    carries them along, and returns them with u · A · vtᵀ equal to the
+    matrix of the entries.  Without them zero rows are dropped on the way,
+    and only the d carry meaning.
+
+    Termination.  Let p be the leading pivot after a pass, at (0, c).  The
+    next pass runs on the transpose, whose first nonzero row is column c of
+    the Hermite form and holds p alone, so the new leading pivot is the gcd
+    of p's row: it never grows.  It stays p only when p divides its whole
+    row, and then the pass reduces that row to p alone, while column 0 of a
+    Hermite form holds only its pivot: p's row and column are clear.  A
+    clear row {0: p} is the leading row of every later pass and meets no
+    other row, so the passes go on as on the matrix without it.  The
+    leading pivot thus strictly shrinks unless its row and column are
+    already clear, and by induction on the rows every row ends with at most
+    one entry.
+    """
+    flipped = False
+    while True:
+        rows, u = _hermite_pass(rows, cols, u)
+        if all(len(row) <= 1 for row in rows):
+            break
+        rows, cols = _transpose(rows, cols), len(rows)
+        u, vt, flipped = vt, u, not flipped
+    entries = [(i, j, d) for i, row in enumerate(rows) for j, d in row.items()]
+    if flipped:
+        return [(j, i, d) for i, j, d in entries], vt, u
+    return entries, u, vt
+
+
+def _mix(rows: list[list[int]], i: int, j: int, a: int, b: int, c: int, d: int) -> None:
+    """Dense rows i, j <- a row_i + b row_j, c row_i + d row_j, in place."""
+    ri, rj = rows[i], rows[j]
+    rows[i] = [a * x + b * y for x, y in zip(ri, rj)]
+    rows[j] = [c * x + d * y for x, y in zip(ri, rj)]
+
+
+def _chain(d: list[int], u=None, vt=None) -> None:
+    """Turn a diagonal of positive integers into a divisibility chain, in
+    place.
+
+    Each pair i < j with d_i ∤ d_j takes the 2x2 step
+    [[s, t], [-b/g, a/g]] · diag(a, b) · [[1, -tb/g], [1, sa/g]]
+    = diag(g, ab/g), where a = d_i, b = d_j and g = s a + t b = gcd(a, b);
+    both factors have determinant (s a + t b)/g = 1.  With dense ``u`` and
+    ``vt`` the left factor acts on rows i, j of u, the right one on columns
+    i, j of V, which are rows i, j of vt.  Once d_i has met every later d_j
+    it divides them all, and later steps replace two multiples of d_i by
+    their gcd and lcm, which are multiples of d_i again.
+    """
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            a, b = d[i], d[j]
+            if b % a:
+                g, s, t = _xgcd(a, b)
+                d[i], d[j] = g, a // g * b
+                if u is not None:
+                    _mix(u, i, j, s, t, -(b // g), a // g)
+                    _mix(vt, i, j, 1, 1, -(t * b // g), s * a // g)
+
+
+def _leading(rows: list[dict[int, int]], first: list[int]) -> list[list[int]]:
+    """The square sparse rows as dense rows: those indexed by ``first`` in
+    that order, then the rest."""
+    n = len(rows)
+    taken = set(first)
+    order = first + [i for i in range(n) if i not in taken]
+    return [[rows[i].get(j, 0) for j in range(n)] for i in order]
+
+
+def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
+    """Smith normal form with transformation matrices.
+
+    ``_diagonalize`` carries U and V through its Hermite passes; the rows
+    of U and the columns of V are then permuted so the k-th entry sits at
+    (k, k), and ``_chain`` turns the diagonal into a divisibility chain.
+    U @ A @ V = S exactly, |det U| = |det V| = 1, and the diagonal of S is
+    a nonnegative divisibility chain.  Empty matrices are allowed.
+    """
+    m, n = A.rows, A.cols
+    entries, u, vt = _diagonalize(
+        _sparse_rows(A), n, [{i: 1} for i in range(m)], [{j: 1} for j in range(n)]
+    )
+    u = _leading(u, [i for i, _, _ in entries])
+    vt = _leading(vt, [j for _, j, _ in entries])
+    d = [x for _, _, x in entries]
+    _chain(d, u, vt)
+    return SmithDecomposition(
+        S=IntMatrix(m, n, tuple(d[i] if i == j and i < len(d) else 0 for i in range(m) for j in range(n))),
+        U=IntMatrix.from_rows(u),
+        V=IntMatrix.from_rows(list(zip(*vt))),
+        invariant_factors=tuple(d) + (0,) * (min(m, n) - len(d)),
+    )
+
+
+def invariant_factors(A: IntMatrix) -> tuple[int, ...]:
+    """Invariant factors only, padded with zeros to min(rows, cols): the
+    Smith diagonal without U and V, so zero rows can be dropped."""
+    d = [x for _, _, x in _diagonalize(_sparse_rows(A), A.cols)[0]]
+    _chain(d)
+    return tuple(d) + (0,) * (min(A.rows, A.cols) - len(d))
+
+
+def kernel_basis(A: IntMatrix) -> list[tuple[int, ...]]:
+    """Lattice basis of {x : A x = 0}, from one Hermite pass of [Aᵀ | I].
+
+    The pass gives W · [Aᵀ | I] = [W Aᵀ | W] with W unimodular, and the row
+    vector x has x Aᵀ = 0 exactly when A x = 0.  So a row whose Aᵀ block is
+    zero, that is a row whose pivot lies in the I block, has its I block in
+    the kernel.  Those rows span the whole (saturated) kernel lattice: a
+    kernel vector is c W for an integer c, and the rows of W Aᵀ that are
+    nonzero are in echelon form, hence independent, so c vanishes on them.
+    Each vector's first nonzero coordinate is its Hermite pivot, so it is
+    positive.
+    """
+    blocks, track = _hermite_pass(
+        _transpose(_sparse_rows(A), A.cols), A.rows, [{j: 1} for j in range(A.cols)]
+    )
+    return [tuple(t.get(j, 0) for j in range(A.cols)) for h, t in zip(blocks, track) if not h]
 
 
 # ---------------------------------------------------------------------------
@@ -615,43 +571,23 @@ def _row_reduce(rows: Iterable[Mapping]) -> tuple[list[dict], list[int]]:
 # Finitely generated abelian groups
 # ---------------------------------------------------------------------------
 
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def _canonical_torsion(values: Iterable[int]) -> tuple[int, ...]:
     """Rewrite a multiset of cyclic orders as an invariant-factor chain.
 
-    Uses the primary decomposition: for each prime, the sorted exponent list
-    is aligned so the largest invariant factor collects the largest power.
+    Z_a + Z_b is Z_g + Z_(ab/g) with g = gcd(a, b), the 2x2 step that
+    ``_chain`` takes on a Smith diagonal, so the chain is the Smith form of
+    the diagonal matrix of the orders, which is unique.  Nothing is
+    factored, so the cost does not depend on the size of the primes.
     """
-    primary: dict[int, list[int]] = {}
+    orders = []
     for v in values:
         v = int(v)
         if v < 1:
             raise ValueError(f"torsion order must be positive, got {v}")
-        if v == 1:
-            continue
-        for p, e in _factorize(v).items():
-            primary.setdefault(p, []).append(e)
-    if not primary:
-        return ()
-    depth = max(len(es) for es in primary.values())
-    chain = [1] * depth
-    for p, es in primary.items():
-        es.sort()
-        for offset, e in enumerate(es):
-            chain[depth - len(es) + offset] *= p ** e
-    return tuple(chain)
+        if v > 1:
+            orders.append(v)
+    _chain(orders)
+    return tuple(d for d in orders if d > 1)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -93,7 +94,71 @@ def test_snf_routes_disagree_exits_1(capsys, monkeypatch):
     code, payload = run_json(capsys, "snf", "--matrix", "-")
     assert code == 1
     assert payload["results"]["invariant_factors"] == [2, 4]
-    assert payload["warnings"] == ["MISMATCH: Smith diagonal [2, 4], Hermite-modular route [1, 8]"]
+    assert payload["warnings"] == ["MISMATCH: Smith diagonal [2, 4], invariant_factors [1, 8]"]
+
+
+def corrupt_snf(monkeypatch, **changes):
+    """Make cli.smith_normal_form return the true decomposition with the
+    given fields replaced; each value maps the true decomposition to the
+    corrupted field."""
+    true_snf = cli.smith_normal_form
+
+    def corrupted(matrix):
+        dec = true_snf(matrix)
+        return dataclasses.replace(dec, **{k: f(dec) for k, f in changes.items()})
+
+    monkeypatch.setattr(cli, "smith_normal_form", corrupted)
+
+
+def scaled(m, c):
+    return qautk.IntMatrix(m.rows, m.cols, tuple(c * x for x in m.entries))
+
+
+@pytest.mark.parametrize("changes, matrix, witness", [
+    # one wrong entry of S: the product check names it
+    ({"S": lambda d: qautk.IntMatrix(2, 2, (2, 0, 0, 5))}, "2 2\n2 4\n6 8\n",
+     "(U A V)[1][1] = 4 but S[1][1] = 5"),
+    # 2U A V = 2S holds, but U is not unimodular
+    ({"U": lambda d: scaled(d.U, 2), "S": lambda d: scaled(d.S, 2),
+      "invariant_factors": lambda d: (4, 8)}, "2 2\n2 4\n6 8\n",
+     "U is not unimodular: its Hermite form is not the identity"),
+    ({"V": lambda d: scaled(d.V, 3), "S": lambda d: scaled(d.S, 3),
+      "invariant_factors": lambda d: (6, 12)}, "2 2\n2 4\n6 8\n",
+     "V is not unimodular: its Hermite form is not the identity"),
+    # I diag(2, 3) I = diag(2, 3) is a valid product but not a chain
+    ({"U": lambda d: qautk.IntMatrix.identity(2), "V": lambda d: qautk.IntMatrix.identity(2),
+      "S": lambda d: qautk.IntMatrix(2, 2, (2, 0, 0, 3)), "invariant_factors": lambda d: (2, 3)},
+     "2 2\n2 0\n0 3\n", "the diagonal of S breaks the divisibility chain at index 1: [2, 3]"),
+    # I A I = A is a valid product, but A is not diagonal
+    ({"U": lambda d: qautk.IntMatrix.identity(2), "V": lambda d: qautk.IntMatrix.identity(2),
+      "S": lambda d: qautk.IntMatrix(2, 2, (1, 1, 0, 1)), "invariant_factors": lambda d: (1, 1)},
+     "2 2\n1 1\n0 1\n", "S[0][1] = 1 is off the diagonal"),
+    ({"invariant_factors": lambda d: (1, 8)}, "2 2\n2 4\n6 8\n",
+     "invariant factors [1, 8] are not the diagonal of S [2, 4]"),
+    ({"U": lambda d: qautk.IntMatrix.identity(3)}, "2 2\n2 4\n6 8\n",
+     "U, S, V have shapes [(3, 3), (2, 2), (2, 2)], expected [(2, 2), (2, 2), (2, 2)]"),
+])
+def test_snf_certificate_failure_exits_1_with_witness(capsys, monkeypatch, changes, matrix, witness):
+    corrupt_snf(monkeypatch, **changes)
+    monkeypatch.setattr("sys.stdin", io.StringIO(matrix))
+    code, payload = run_json(capsys, "snf", "--matrix", "-")
+    assert code == 1
+    assert payload["warnings"] == [f"CERTIFICATE FAILED: {witness}"]
+
+
+@pytest.mark.parametrize("n", [30, 60])
+def test_snf_random_square_finishes_fast(capsys, monkeypatch, n):
+    # min-pivot Smith did not finish 30 x 30 in 100 s
+    rng = random.Random(n)
+    rows = [" ".join(str(rng.randint(-50, 50)) for _ in range(n)) for _ in range(n)]
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{n} {n}\n" + "\n".join(rows) + "\n"))
+    start = time.process_time()
+    code, payload = run_json(capsys, "snf", "--matrix", "-")
+    elapsed = time.process_time() - start
+    assert code == 0
+    assert payload["warnings"] == []
+    assert payload["results"]["rank"] == n
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("dims", [

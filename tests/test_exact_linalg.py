@@ -73,6 +73,86 @@ def minor_gcds(a: IntMatrix) -> list[int]:
     return out
 
 
+def min_pivot_smith(a: IntMatrix):
+    """Reference Smith normal form with transforms on dense rows: min-pivot
+    elimination, whose entries can explode, so only for small inputs.
+
+    Pivots are chosen with minimal absolute value in the working submatrix.
+    Each accepted pivot is made to divide every entry of the remaining
+    submatrix, so the diagonal is already a divisibility chain when the loop
+    ends.  Returns (S, U, V, factors) as lists with U A V = S.
+    """
+    rows, cols = a.rows, a.cols
+    m = a.to_lists()
+    u = IntMatrix.identity(rows).to_lists()
+    v = IntMatrix.identity(cols).to_lists()
+
+    def swap_cols(x, j, k):
+        for row in x:
+            row[j], row[k] = row[k], row[j]
+
+    limit = min(rows, cols)
+    for t in range(limit):
+        nonzero = [(abs(m[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if m[i][j]]
+        if not nonzero:
+            break  # working submatrix is zero
+        _, pi, pj = min(nonzero)
+        m[t], m[pi] = m[pi], m[t]
+        u[t], u[pi] = u[pi], u[t]
+        swap_cols(m, t, pj)
+        swap_cols(v, t, pj)
+        if m[t][t] < 0:
+            m[t] = [-x for x in m[t]]
+            u[t] = [-x for x in u[t]]
+        while True:
+            piv = m[t][t]
+            # clear column t with row operations; a remainder becomes the pivot
+            i = next((i for i in range(rows) if i != t and m[i][t]), None)
+            if i is not None:
+                q = m[i][t] // piv
+                m[i] = [x - q * y for x, y in zip(m[i], m[t])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+                if m[i][t]:
+                    m[t], m[i] = m[i], m[t]
+                    u[t], u[i] = u[i], u[t]
+                continue
+            # column t is clear, so a column operation only touches row t
+            j = next((j for j in range(t + 1, cols) if m[t][j]), None)
+            if j is not None:
+                q = m[t][j] // piv
+                m[t][j] -= q * piv
+                for row in v:
+                    row[j] -= q * row[t]
+                if m[t][j]:
+                    swap_cols(m, t, j)
+                    swap_cols(v, t, j)
+                continue
+            # make the pivot divide the remaining submatrix
+            i = next((i for i in range(t + 1, rows) if any(x % piv for x in m[i][t + 1:])), None)
+            if i is None:
+                break
+            m[t] = [x + y for x, y in zip(m[t], m[i])]
+            u[t] = [x + y for x, y in zip(u[t], u[i])]
+    return m, u, v, tuple(m[i][i] for i in range(limit))
+
+
+def test_min_pivot_oracle_is_a_smith_form():
+    rng = random.Random(8)
+    for _ in range(60):
+        a = random_matrix(rng)
+        s, u, v, factors = min_pivot_smith(a)
+        u, v = IntMatrix.from_rows(u), IntMatrix.from_rows(v)
+        assert (u @ a @ v).to_lists() == s
+        assert abs(bareiss_determinant(u)) == abs(bareiss_determinant(v)) == 1
+        assert all(s[i][j] == 0 for i in range(a.rows) for j in range(a.cols) if i != j)
+        gcds, prev = minor_gcds(a), 1
+        for k, g in enumerate(gcds):
+            assert factors[k] == (g // prev if g else 0)
+            if not g:
+                break
+            prev = g
+
+
 def assert_valid_decomposition(a: IntMatrix):
     dec = smith_normal_form(a)
     assert (dec.U @ a @ dec.V).entries == dec.S.entries
@@ -177,6 +257,53 @@ def test_fg_group_validation():
         FgAbelianGroup(-1, ())
 
 
+def factoring_chain(orders):
+    """Reference torsion canonicalization by primary decomposition: factor
+    each order by trial division, then, prime by prime, give the largest
+    powers to the largest invariant factors."""
+    primary: dict[int, list[int]] = {}
+    for v in orders:
+        exponents: dict[int, int] = {}
+        d = 2
+        while d * d <= v:
+            while v % d == 0:
+                exponents[d] = exponents.get(d, 0) + 1
+                v //= d
+            d += 1
+        if v > 1:
+            exponents[v] = exponents.get(v, 0) + 1
+        for p, e in exponents.items():
+            primary.setdefault(p, []).append(e)
+    depth = max((len(es) for es in primary.values()), default=0)
+    chain = [1] * depth
+    for p, es in primary.items():
+        for offset, e in enumerate(sorted(es)):
+            chain[depth - len(es) + offset] *= p ** e
+    return tuple(chain)
+
+
+def test_torsion_chain_matches_factoring_oracle():
+    rng = random.Random(61)
+    for _ in range(300):
+        orders = [rng.randint(1, 200) for _ in range(rng.randint(0, 6))]
+        expected = factoring_chain(orders)
+        assert FgAbelianGroup.from_parts(0, orders).torsion == expected, orders
+        half = len(orders) // 2
+        left, right = FgAbelianGroup.from_parts(1, orders[:half]), FgAbelianGroup.from_parts(2, orders[half:])
+        assert fg_direct_sum(left, right) == FgAbelianGroup(3, expected), orders
+
+
+def test_torsion_chain_of_large_primes_needs_no_factoring():
+    # trial division took time linear in p: 6.8 s for p = 10^8 + 7
+    p = 2 ** 61 - 1
+    start = time.process_time()
+    assert FgAbelianGroup.from_parts(0, [p * p]).torsion == (p * p,)
+    assert FgAbelianGroup.from_parts(0, [3 * p]).torsion == (3 * p,)
+    assert FgAbelianGroup.from_parts(0, [3 * p, p * p, 3]).torsion == (3 * p, 3 * p * p)
+    assert fg_direct_sum(FgAbelianGroup(0, (p,)), FgAbelianGroup(0, (p * p,))).torsion == (p, p * p)
+    assert time.process_time() - start < 0.1
+
+
 def test_describe():
     assert FgAbelianGroup(2, (2, 2, 2)).describe() == "Z^2 + Z_2^3"
     assert FgAbelianGroup(1, ()).describe() == "Z"
@@ -248,44 +375,79 @@ def test_hermite_modular_routes_match_smith_oracle():
     assert kernel_basis(IntMatrix(2, 0, ())) == []
     rng = random.Random(10)
     for a in oracle_inputs(rng):
-        dec = smith_normal_form(a)
-        assert invariant_factors(a) == dec.invariant_factors, a
-        torsion = tuple(d for d in dec.invariant_factors if d > 1)
-        assert cokernel(a) == FgAbelianGroup(a.rows - dec.rank, torsion), a
-        oracle = [[dec.V.at(i, j) for i in range(a.cols)] for j in range(dec.rank, a.cols)]
+        _, _, v, factors = min_pivot_smith(a)
+        assert invariant_factors(a) == factors, a
+        assert assert_valid_decomposition(a).invariant_factors == factors, a
+        rank = sum(1 for d in factors if d)
+        torsion = tuple(d for d in factors if d > 1)
+        assert cokernel(a) == FgAbelianGroup(a.rows - rank, torsion), a
+        # the V columns beyond the rank span the kernel lattice
+        oracle = [[v[i][j] for i in range(a.cols)] for j in range(rank, a.cols)]
         basis = kernel_basis(a)
         assert len(basis) == len(oracle)
         assert span_hermite(basis, a.cols) == span_hermite(oracle, a.cols), a
 
 
-def test_smith_runs_on_hermite_rows_below_the_pivot_product(monkeypatch):
-    calls = []
-    engine = exact_linalg._smith_engine
+def test_every_normal_form_runs_through_the_hermite_engine(monkeypatch):
+    passes = []
+    engine = exact_linalg._hnf_engine
 
-    def spy(data, rows, cols, want_u, want_v, modulus=0):
-        calls.append((rows, cols, modulus))
-        if modulus:
-            # every entry the engine writes must stay in [0, modulus)
-            class BoundedRow(list):
-                def __setitem__(self, j, x):
-                    assert 0 <= x < modulus, x
-                    super().__setitem__(j, x)
+    def spy(rows):
+        rows = list(rows)
+        passes.append(len(rows))
+        return engine(rows)
 
-            assert all(0 <= x < modulus for row in data for x in row)
-            data = [BoundedRow(row) for row in data]
-        return engine(data, rows, cols, want_u, want_v, modulus)
+    def other_engine(*args):
+        raise AssertionError("an integer normal form left the Hermite engine")
 
-    monkeypatch.setattr(exact_linalg, "_smith_engine", spy)
+    monkeypatch.setattr(exact_linalg, "_hnf_engine", spy)
+    monkeypatch.setattr(exact_linalg, "_row_reduce", other_engine)
+    assert not hasattr(exact_linalg, "_smith_engine")
     a = boundary_matrix(DimVector.of(6, 10, 15))
-    herm = hermite_normal_form(a)
-    pivot_product = math.prod(herm.H.at(i, c) for i, c in enumerate(herm.pivot_cols))
-    assert (a.rows, a.cols, herm.rank) == (10, 6, 5)
-    assert pivot_product > 1
+    assert (a.rows, a.cols) == (10, 6)
     factors = invariant_factors(a)
+    # the first pass is on the rows of A, then on transposes
+    assert passes[0] == 10 and len(passes) >= 2
+    passes.clear()
     basis = kernel_basis(a)
-    assert calls == [(5, 6, pivot_product), (5, 6, 0)]
-    assert factors == (1, 1, 1, 1, 1, 0)
+    assert passes == [6]  # one pass of [A^T | I]
+    passes.clear()
+    dec = smith_normal_form(a)
+    # rows augmented with I keep every row: 10 on A's side, 6 on the other
+    assert passes[:2] == [10, 6] and set(passes) == {10, 6}
+    assert factors == dec.invariant_factors == (1, 1, 1, 1, 1, 0)
     assert basis == [(6, 10, 15, 6, 10, 15)]
+
+
+def test_chain_fix_cases():
+    cases = [
+        (IntMatrix.from_rows([[2, 0], [0, 3]]), (1, 6)),
+        (IntMatrix.from_rows([[4, 0, 0], [0, 6, 0], [0, 0, 10]]), (2, 2, 60)),
+        (IntMatrix.from_rows([[0, 0, 0, 0], [0, 6, 0, 0], [0, 0, 0, 0], [0, 0, 0, 4]]), (2, 12, 0, 0)),
+        (IntMatrix.from_rows([[0, 0, 0], [0, 9, 0], [0, 0, 0], [0, 0, 6], [0, 0, 0]]), (3, 18, 0)),
+        (IntMatrix(0, 4, ()), ()),
+        (IntMatrix(3, 0, ()), ()),
+    ]
+    for a, expected in cases:
+        assert invariant_factors(a) == expected, a
+        assert min_pivot_smith(a)[3] == expected, a
+        dec = assert_valid_decomposition(a)
+        assert dec.invariant_factors == expected, a
+        assert (dec.U.rows, dec.V.rows) == (a.rows, a.cols)
+
+
+def test_snf_entries_stay_small_on_random_30_by_30():
+    # min-pivot Smith took over 100 s here, with V entries of thousands of bits
+    rng = random.Random(30)
+    a = IntMatrix(30, 30, tuple(rng.randint(-50, 50) for _ in range(900)))
+    start = time.process_time()
+    dec = smith_normal_form(a)
+    assert time.process_time() - start < 1.0
+    assert (dec.U @ a @ dec.V).entries == dec.S.entries
+    for x in (dec.U, dec.V):
+        assert hermite_normal_form(x).H == IntMatrix.identity(30)
+        assert max(abs(e).bit_length() for e in x.entries) < 1000
+    assert dec.invariant_factors == invariant_factors(a)
 
 
 def random_unimodular(rng, n, steps=12):

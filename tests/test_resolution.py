@@ -256,7 +256,7 @@ def test_scope_warning_for_small_algebras():
 
 
 def test_shift_basis_against_smith_kernel():
-    # kernel_basis (Smith with V) is the second route to ker d0
+    # kernel_basis (one Hermite pass of [d0^T | I]) is the second route to ker d0
     rng = random.Random(9)
     for trial in range(24):
         n = rng.randint(1, 6)
@@ -344,7 +344,7 @@ def test_certificate_matches_truncated_oracle():
 
 def test_generator_shifts_span_the_truncated_kernel(monkeypatch):
     # the t-shifts of the generators that check_exactness certifies span
-    # kernel_basis of the truncated d0 (Smith, the second route to ker d0)
+    # kernel_basis of the truncated d0 (the second route to ker d0)
     certified = []
     solve = resolution._solve_preimages
 
