@@ -5,10 +5,12 @@ and cokernels, and finitely generated abelian groups in invariant-factor
 form, all on Python's arbitrary-precision integers, so no operation can
 overflow.
 
-One integer engine serves every normal form: ``_hnf_engine``, a sparse,
-incremental row Hermite pass (rows map a column to its nonzero entry,
-since the lattices served are mostly zeros).  A pass run on the rows
-augmented with I also returns its transform.  On top of it:
+``IntMatrix`` stores only sparse rows (a column maps to its nonzero
+entry), since the matrices served are mostly zeros: a boundary row has 2
+nonzeros in 2n columns.  Producers build the rows (``from_sparse``), and
+one integer engine reads copies of them for every normal form:
+``_hnf_engine``, a sparse, incremental row Hermite pass.  A pass run on
+the rows augmented with I also returns its transform.  On top of it:
 
 * the invariant factors alternate Hermite passes on the rows and on their
   transpose until each row has one entry, then turn that diagonal into a
@@ -40,24 +42,51 @@ class MatrixFormatError(ValueError):
 # Integer matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix, entries stored row-major."""
+    """Immutable integer matrix whose only storage is its sparse rows, each
+    mapping a column to its nonzero entry; ``entries`` (row-major), ``row``,
+    ``at`` and the rest are read off them.  Both constructors validate, so a
+    matrix holds only integers: ``IntMatrix(rows, cols, entries)`` takes
+    dense row-major entries, and ``from_sparse`` checks in O(nonzeros) that
+    every column is in range and every entry a nonzero int.  Equality and
+    hash do not depend on the constructor."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = ("rows", "cols", "_data")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __new__(cls, rows: int, cols: int, entries: Sequence[int]):
+        if rows >= 0 and cols >= 0 and len(entries) != rows * cols:
+            raise MatrixFormatError(f"expected {rows * cols} entries, got {len(entries)}")
+        # only the integer 0 is dropped, so from_sparse sees every non-integer
+        return cls.from_sparse(rows, cols, (
+            {j: x for j, x in enumerate(entries[i * cols : (i + 1) * cols]) if x != 0 or not isinstance(x, int)}
+            for i in range(rows)
+        ))
+
+    @classmethod
+    def from_sparse(cls, rows: int, cols: int, sparse_rows: Iterable[Mapping[int, int]]) -> "IntMatrix":
+        """From ``rows`` sparse rows, each mapping a column to its nonzero
+        entry; the rows are copied."""
+        self = cls._of(rows, cols, tuple(dict(row) for row in sparse_rows))
+        if len(self._data) != rows:
+            raise MatrixFormatError(f"expected {rows} rows, got {len(self._data)}")
+        for row in self._data:
+            for j, x in row.items():
+                if not (isinstance(j, int) and 0 <= j < cols and isinstance(x, int) and x):
+                    raise MatrixFormatError(f"entry {x!r} at column {j!r} is not a nonzero integer in a column < {cols}")
+        return self
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, data: tuple[dict[int, int], ...]) -> "IntMatrix":
+        """From sparse rows known to be valid and shared with nobody."""
+        if rows < 0 or cols < 0:
             raise MatrixFormatError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise MatrixFormatError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-        for e in self.entries:
-            if not isinstance(e, int):
-                raise MatrixFormatError(f"non-integer entry {e!r}")
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (rows, cols, data)):
+            object.__setattr__(self, name, value)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("IntMatrix is immutable")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -67,45 +96,57 @@ class IntMatrix:
         for r in rows:
             if len(r) != m:
                 raise MatrixFormatError("ragged rows")
-        return cls(n, m, tuple(int(x) for r in rows for x in r))
+        return cls._of(n, m, tuple({j: v for j, x in enumerate(r) if (v := int(x))} for r in rows))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return cls._of(n, n, tuple({i: 1} for i in range(n)))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
+        return cls._of(rows, cols, tuple({} for _ in range(rows)))
+
+    def __eq__(self, other):
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        return (self.rows, self.cols, self._data) == (other.rows, other.cols, other._data)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, tuple(frozenset(row.items()) for row in self._data)))
+
+    def __repr__(self):
+        return f"IntMatrix(rows={self.rows}, cols={self.cols}, entries={self.entries})"
+
+    @property
+    def entries(self) -> tuple[int, ...]:
+        """The entries, row-major."""
+        return tuple(x for i in range(self.rows) for x in self.row(i))
 
     def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
+        return self._data[i].get(j, 0)
 
     def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        row = self._data[i]
+        return tuple(row.get(j, 0) for j in range(self.cols))
 
     def to_lists(self) -> list[list[int]]:
-        c = self.cols
-        return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
+        return [list(self.row(i)) for i in range(self.rows)]
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise MatrixFormatError("incompatible shapes for product")
-        a, b = self.to_lists(), other.to_lists()
         out = []
-        for i in range(self.rows):
-            ai = a[i]
-            for j in range(other.cols):
-                out.append(sum(ai[k] * b[k][j] for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        for row in self._data:
+            acc: dict[int, int] = {}
+            for k, x in row.items():
+                _axpy(acc, x, other._data[k])
+            out.append(acc)
+        return IntMatrix._of(self.rows, other.cols, tuple(out))
 
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
         if len(vector) != self.cols:
             raise MatrixFormatError("vector length does not match column count")
-        c = self.cols
-        return tuple(
-            sum(self.entries[i * c + j] * vector[j] for j in range(c))
-            for i in range(self.rows)
-        )
+        return tuple(sum(x * vector[j] for j, x in row.items()) for row in self._data)
 
     def to_text(self) -> str:
         """Render in the shared text format: "rows cols" then entry rows."""
@@ -124,13 +165,11 @@ class IntMatrix:
             body = [int(t) for t in tokens[2:]]
         except ValueError as exc:
             raise MatrixFormatError(f"non-integer token in matrix text: {exc}") from None
-        if rows < 0 or cols < 0:
-            raise MatrixFormatError("negative dimensions")
         if len(body) != rows * cols:
             raise MatrixFormatError(
                 f"expected {rows * cols} entries after header, got {len(body)}"
             )
-        return cls(rows, cols, tuple(body))
+        return cls(rows, cols, body)
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +194,14 @@ class HermiteDecomposition:
         return len(self.pivot_cols)
 
 
-def _sparse(row: Sequence[int]) -> dict[int, int]:
-    return {j: x for j, x in enumerate(row) if x}
+def _sparse(vector: Sequence[int]) -> dict[int, int]:
+    return {j: x for j, x in enumerate(vector) if x}
 
 
 def _sparse_rows(A: IntMatrix) -> list[dict[int, int]]:
-    return [_sparse(A.row(i)) for i in range(A.rows)]
+    """Copies of the stored rows of A: the engines modify their input rows
+    in place, and A must not change."""
+    return [dict(row) for row in A._data]
 
 
 def _axpy(row: dict, q, pivot_row: dict) -> None:
@@ -275,11 +316,8 @@ def _hnf_engine(rows: Iterable[dict[int, int]]) -> tuple[list[dict[int, int]], l
 def hermite_normal_form(A: IntMatrix) -> HermiteDecomposition:
     """Row Hermite normal form."""
     basis, pivots = _hnf_engine(_sparse_rows(A))
-    zero_rows = (0,) * ((A.rows - len(basis)) * A.cols)
-    return HermiteDecomposition(
-        H=IntMatrix(A.rows, A.cols, tuple(row.get(j, 0) for row in basis for j in range(A.cols)) + zero_rows),
-        pivot_cols=tuple(pivots),
-    )
+    zero_rows = tuple({} for _ in range(A.rows - len(basis)))
+    return HermiteDecomposition(H=IntMatrix._of(A.rows, A.cols, tuple(basis) + zero_rows), pivot_cols=tuple(pivots))
 
 
 class LatticeBasis:
@@ -290,20 +328,15 @@ class LatticeBasis:
     """
 
     def __init__(self, A: IntMatrix):
-        self._reduce(_sparse_rows(A), A.cols)
+        self.basis, pivots = _hnf_engine(_sparse_rows(A))
+        self.cols = A.cols
+        self.pivot_cols = tuple(pivots)
+        self._by_pivot = dict(zip(pivots, self.basis))
 
     @classmethod
     def from_rows(cls, rows: list[list[int]], cols: int) -> "LatticeBasis":
-        """Build from raw generator rows without IntMatrix overhead."""
-        self = cls.__new__(cls)
-        self._reduce((_sparse(row) for row in rows), cols)
-        return self
-
-    def _reduce(self, rows: Iterable[dict[int, int]], cols: int) -> None:
-        self.basis, pivots = _hnf_engine(rows)
-        self.cols = cols
-        self.pivot_cols = tuple(pivots)
-        self._by_pivot = dict(zip(pivots, self.basis))
+        """Build from generator rows of length ``cols``."""
+        return cls(IntMatrix.from_sparse(len(rows), cols, (_sparse(row) for row in rows)))
 
     @property
     def rank(self) -> int:
@@ -474,7 +507,7 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     d = [x for _, _, x in entries]
     _chain(d, u, vt)
     return SmithDecomposition(
-        S=IntMatrix(m, n, tuple(d[i] if i == j and i < len(d) else 0 for i in range(m) for j in range(n))),
+        S=IntMatrix._of(m, n, tuple({i: d[i]} if i < len(d) else {} for i in range(m))),
         U=IntMatrix.from_rows(u),
         V=IntMatrix.from_rows(list(zip(*vt))),
         invariant_factors=tuple(d) + (0,) * (min(m, n) - len(d)),

@@ -31,15 +31,9 @@ def boundary_matrix(k: DimVector) -> IntMatrix:
     """
     n = k.n
     sizes = list(k)
-    entries: list[int] = []
-    for i in range(n):
-        for a in range(n):
-            row = [0] * (2 * n)
-            row[i] = sizes[a]
-            row[n + a] = -sizes[i]
-            entries += row
-    entries += [-x for x in sizes] + sizes
-    return IntMatrix(n * n + 1, 2 * n, tuple(entries))
+    rows = [{i: sizes[a], n + a: -sizes[i]} for i in range(n) for a in range(n)]
+    rows.append({**{j: -x for j, x in enumerate(sizes)}, **{n + j: x for j, x in enumerate(sizes)}})
+    return IntMatrix.from_sparse(n * n + 1, 2 * n, rows)
 
 
 def k_theory(k: DimVector) -> KTheoryResult:

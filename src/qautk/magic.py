@@ -11,11 +11,10 @@ that the span is a direct summand (torsion-free quotient).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exact_linalg import IntMatrix, invariant_factors
+from .exact_linalg import IntMatrix, _sparse_rows, invariant_factors
 
 DEFAULT_MAX_N = 7
 
@@ -75,17 +74,8 @@ def evaluation_matrix(n: int, max_n: int | None = DEFAULT_MAX_N) -> IntMatrix:
         raise ValueError(
             f"n = {n} exceeds the cap {max_n} ({n}! rows); pass max_n=None to override"
         )
-    entries: list[int] = []
-    for sigma in itertools.permutations(range(n)):
-        entries.append(1)
-        for i in range(n):
-            entries.extend(1 if sigma[i] == j else 0 for j in range(n))
-    return IntMatrix(math.factorial(n), n * n + 1, tuple(entries))
-
-
-def _restricted_slices(n: int) -> list[slice]:
-    """Column runs for {1} and u_ij with i, j <= n - 2 (0-based i, j < n - 1)."""
-    return [slice(0, 1)] + [slice(1 + i * n, i * n + n) for i in range(n - 1)]
+    rows = [{0: 1, **{1 + i * n + j: 1 for i, j in enumerate(sigma)}} for sigma in itertools.permutations(range(n))]
+    return IntMatrix.from_sparse(len(rows), n * n + 1, rows)
 
 
 @dataclass(frozen=True)
@@ -113,13 +103,11 @@ def generator_rank_report(n: int, max_n: int | None = DEFAULT_MAX_N) -> Generato
     counts honest free generators.
     """
     full = evaluation_matrix(n, max_n=max_n)
-    runs = _restricted_slices(n)
-    entries: list[int] = []
-    for r in range(full.rows):
-        row = full.row(r)
-        for run in runs:
-            entries.extend(row[run])
-    restricted = IntMatrix(full.rows, 1 + (n - 1) ** 2, tuple(entries))
+    # column 1 + i n + j of u_ij, i, j < n - 1, goes to 1 + i (n - 1) + j
+    keep = {0: 0, **{1 + i * n + j: 1 + i * (n - 1) + j for i in range(n - 1) for j in range(n - 1)}}
+    restricted = IntMatrix.from_sparse(
+        full.rows, 1 + (n - 1) ** 2, ({keep[c]: x for c, x in row.items() if c in keep} for row in _sparse_rows(full))
+    )
     f_full = invariant_factors(full)
     f_res = invariant_factors(restricted)
     return GeneratorRankReport(

@@ -375,39 +375,61 @@ def _d1_injective(d1: Matrix) -> bool:
     return False
 
 
-def _solve_preimages(d1: Matrix, targets: list[list[int]]) -> list[list[Fraction]]:
-    """For each target g, a solution x of d1 x = g in the degree-2
-    truncation over Q, from one reduced echelon form of [d1 | g_1 ... g_N].
+def _solve_preimages(d1: Matrix, targets: list[list[int]]) -> list[list[int]]:
+    """For each target g, an integer candidate x for d1 x = g in the
+    degree-2 truncation, by back-substitution on the unit leads of the
+    columns of ``_truncated_d1_columns(d1, 2)``, with no division.  Targets
+    are dense over degrees 0 and 1, candidates over degrees 0..2, both
+    degree-major (slot i of degree m at m * rows + i); the caller certifies
+    every x by ``_is_preimage``.
 
-    Targets are dense over degrees 0 and 1, solutions over degrees 0..2,
-    both degree-major (slot i of degree m at m * rows + i).  Free
-    coordinates are set to zero, and a target with no solution gets a
-    vector that is not one: the caller certifies every x by ``_is_preimage``.
+    The lead of column (m, s) is the diagonal entry d1_ss = t^q, at target
+    (m + q, s): for "C", d1 = [[I, -k], [-k^T, t]], the coefficient-1 s of
+    each column j < n and t for the corner; for "A", d1 = [[t I, -k],
+    [-k^T, 1]], t for each column j < n and s for the corner.  Order the
+    columns degree-major, those with q = 0 first in each degree: the corner
+    last for "C" and first for "A".  Then the truncated d1 is unitriangular
+    on the leads, in every degree: the lead of a column is met by no column
+    before it.  For "C", the lead (m, j) of column j < n is met only by
+    (m, j) and the corner (m, n), and the corner's lead (m + 1, n) only by
+    (m, n) and the (m + 1, j).  For "A", the corner's lead (m, n) is met
+    only by (m, n) and the (m, j), and the lead (m + 1, j) only by (m, j)
+    and (m + 1, n).  So x, filled from the last column to the first with
+    the residual of g at each lead, is the only solution of the lead rows:
+    every preimage of g in the truncation is x, and the truncation is
+    injective.  A column whose lead is not 1, which only a corrupted d1
+    has, leaves its unknown at 0, and ``_is_preimage`` refuses the result.
     """
     cols = _truncated_d1_columns(d1, 2)
-    nunk = len(cols)
-    rows = []
-    for i in range(len(cols[0])):
-        row = {j: Fraction(col[i]) for j, col in enumerate(cols) if col[i]}
-        row.update((nunk + g, Fraction(vec[i])) for g, vec in enumerate(targets) if i < len(vec) and vec[i])
-        rows.append(row)
-    reduced, pivots = _row_reduce(rows)
-    solutions = [[Fraction(0)] * nunk for _ in targets]
-    for row, p in zip(reduced, pivots):
-        if p < nunk:
-            for c, x in row.items():
-                if c >= nunk:
-                    solutions[c - nunk][p] = x
+    nrows = len(d1)
+    leads = []  # (order, unknown, lead position) of columns with a unit lead
+    for u, col in enumerate(cols):
+        m, s = divmod(u, nrows)
+        q = d1[s][s].degree
+        lead = (m + q) * nrows + s
+        if q >= 0 and col[lead] == 1:
+            leads.append(((m, q, s), u, lead))
+    leads.sort(reverse=True)
+    sparse = [{i: c for i, c in enumerate(col) if c} for col in cols]
+    solutions = []
+    for g in targets:
+        residual = {i: c for i, c in enumerate(g) if c}
+        x = [0] * len(cols)
+        for _, u, lead in leads:
+            v = residual.get(lead)
+            if v:
+                x[u] = v
+                for i, c in sparse[u].items():
+                    residual[i] = residual.get(i, 0) - v * c
+        solutions.append(x)
     return solutions
 
 
-def _is_preimage(terms: list[list[tuple[int, int]]], x: Sequence[Fraction], g: Sequence[int]) -> bool:
-    """True when x is integral and d1 x = g holds exactly over Z[t], for the
-    square d1 given by its ``_column_terms`` (so one degree up moves a
-    position by len(terms)); x and g are degree-major coefficient vectors as
-    in ``_solve_preimages``."""
-    if any(v.denominator != 1 for v in x):
-        return False
+def _is_preimage(terms: list[list[tuple[int, int]]], x: Sequence[int], g: Sequence[int]) -> bool:
+    """True when d1 x = g holds exactly over Z[t], for the square d1 given
+    by its ``_column_terms`` (so one degree up moves a position by
+    len(terms)); x and g are degree-major integer vectors as in
+    ``_solve_preimages``."""
     size = len(terms)
     residual = {i: c for i, c in enumerate(g) if c}
     for index, v in enumerate(x):
@@ -415,7 +437,7 @@ def _is_preimage(terms: list[list[tuple[int, int]]], x: Sequence[Fraction], g: S
             m, s = divmod(index, size)
             for pos, c in terms[s]:
                 key = m * size + pos
-                residual[key] = residual.get(key, 0) - c * v.numerator
+                residual[key] = residual.get(key, 0) - c * v
     return not any(residual.values())
 
 
@@ -434,9 +456,9 @@ def check_exactness(
         det d1(t0) != 0 (proof there).
     (b) ker d0 is in im d1: the 2(n + 1) - r vectors g of
         ``_shift_kernel_basis(ev, 1)`` generate ker d0 as a Z[t]-module
-        (proof there).  ``_solve_preimages`` finds a candidate x_g in the
-        degree-2 truncation, and ``_is_preimage`` certifies it: x_g is
-        integral and d1 x_g = g exactly.  Then d1 (t^j x_g) = t^j g, so
+        (proof there).  ``_solve_preimages`` finds an integer candidate x_g
+        in the degree-2 truncation, and ``_is_preimage`` certifies it:
+        d1 x_g = g exactly.  Then d1 (t^j x_g) = t^j g, so
         every kernel element of every degree has a preimage.
     (c) d0 is onto: d0 e_{p(i),0} = e_i for the unit slots p(i) of
         ``_unit_slots``, which raises InconsistentComplexError when one is
@@ -451,8 +473,9 @@ def check_exactness(
       of degree <= D - 1 has the preimage t^j x_g of degree <= D, because
       deg x_g <= 1 (below).  If some g fails while d1 is injective, then g,
       of degree <= 1 <= D - 1, has no preimage y at all: y would have degree
-      <= 1, so lie in the degree-2 truncation, which is injective as a
-      restriction of d1, so the solver would return y, and y passes.
+      <= 1, so lie in the degree-2 truncation, where it is the only
+      solution of the lead rows, so the solver would return y, and y
+      passes.
       Degree bound: let d1 x = g with deg g <= 1 and x = (u, v), u in
       Z[t]^n.  For "C", d1 = [[I, -k], [-k^T, t]]: u = g' + k v and
       (t - sum k_i^2) v = g_last + k.g', monic of degree 1 in t, so

@@ -6,12 +6,13 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import qautk
-from qautk import cli
+from qautk import cli, exact_linalg, resolution
 from qautk.cli import main
 
 
@@ -581,3 +582,47 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert reused == fresh
     assert reused[2][1]["inputs"]["max_n"] == 7
     assert reused[4][1]["inputs"] == {"dims": "2", "test": "both", "degree": 12}
+
+
+@pytest.mark.parametrize("text", ["2 2\n1 2 x 4\n", "-1 2\n", "2 -2\n", "1 1\n1.5\n", "3\n", ""])
+def test_snf_malformed_text_exits_2(capsys, monkeypatch, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["snf", "--matrix", "-", "--json"]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_integer_path_builds_no_dense_rows(capsys, monkeypatch):
+    # the producers build sparse rows and the engines read them: no dense
+    # row, entries tuple or dense-built matrix on the way, and the
+    # exactness certificate sees integers only
+    dense = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            dense.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    M = exact_linalg.IntMatrix
+    monkeypatch.setattr(M, "entries", property(spy("entries", M.entries.fget)))
+    # __new__ is the dense constructor
+    for name in ("row", "to_lists", "to_text", "__new__"):
+        monkeypatch.setattr(M, name, spy(name, getattr(M, name)))
+    monkeypatch.setattr(exact_linalg, "_sparse", spy("_sparse", exact_linalg._sparse))
+    solve = resolution._solve_preimages
+    seen = []
+
+    def integer_only(d1, targets):
+        assert not any(isinstance(v, Fraction) for g in targets for v in g)
+        solutions = solve(d1, targets)
+        assert all(type(v) is int for x in solutions for v in x)
+        seen.append(len(targets))
+        return solutions
+
+    monkeypatch.setattr(resolution, "_solve_preimages", integer_only)
+    dims = ",".join(str(k) for k in random.Random(40).choices(range(1, 13), k=40))
+    for argv in (["verify", "--dims", dims], ["magic-rank", "--n", "6"], ["resolution-check", "--dims", dims]):
+        code, _ = run_json(capsys, *argv)
+        assert code == 0, argv
+    assert dense == []
+    assert len(seen) == 2

@@ -725,3 +725,101 @@ def test_sparse_row_reduce_matches_dense_gauss_jordan(field):
         assert sparse == copies  # the input is not modified
         # explicit zero entries are allowed in the input
         assert _row_reduce(dict(enumerate(row)) for row in dense) == (reduced, pivots)
+
+
+# -- sparse storage -----------------------------------------------------------
+
+def both_builds(rng, rows, cols, lo=-9, hi=9, density=0.4):
+    """The same random matrix built from dense entries and from sparse rows."""
+    dense = [[rng.randint(lo, hi) if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
+    if rows > 1:
+        dense[rng.randrange(rows)] = [0] * cols  # a zero row
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in dense]
+    return IntMatrix(rows, cols, tuple(x for row in dense for x in row)), IntMatrix.from_sparse(rows, cols, sparse)
+
+
+def test_sparse_and_dense_builds_agree():
+    rng = random.Random(15)
+    shapes = [(0, 0), (0, 4), (4, 0), (1, 1), (3, 7), (7, 3)] + [
+        (rng.randint(1, 9), rng.randint(1, 9)) for _ in range(40)
+    ]
+    for rows, cols in shapes:
+        dense, sparse = both_builds(rng, rows, cols)
+        assert dense == sparse and hash(dense) == hash(sparse)
+        assert dense.entries == sparse.entries
+        assert len(sparse.entries) == rows * cols
+        assert dense.to_lists() == sparse.to_lists()
+        assert dense.to_text() == sparse.to_text()
+        assert IntMatrix.from_text(sparse.to_text()) == sparse
+        if rows:  # from_rows reads the width off the first row
+            assert IntMatrix.from_rows(sparse.to_lists()) == sparse
+        for i in range(rows):
+            assert dense.row(i) == sparse.row(i) == sparse.entries[i * cols : (i + 1) * cols]
+            for j in range(cols):
+                assert dense.at(i, j) == sparse.at(i, j) == sparse.entries[i * cols + j]
+        vector = [rng.randint(-5, 5) for _ in range(cols)]
+        expect = tuple(sum(a * b for a, b in zip(row, vector)) for row in dense.to_lists())
+        assert dense.apply(vector) == sparse.apply(vector) == expect
+        other_dense, other_sparse = both_builds(rng, cols, rng.randint(0, 5))
+        product = sparse @ other_sparse
+        assert product == dense @ other_dense
+        assert product.to_lists() == [
+            [sum(a * other_dense.at(k, j) for k, a in enumerate(row)) for j in range(other_dense.cols)]
+            for row in dense.to_lists()
+        ]
+    # equal matrices collide in a set whichever way they were built
+    assert len({IntMatrix.identity(3), IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                IntMatrix.from_sparse(3, 3, [{0: 1}, {1: 1}, {2: 1}])}) == 1
+    assert IntMatrix.zero(2, 3) != IntMatrix.zero(3, 2)
+    assert IntMatrix.zero(0, 3) != IntMatrix.zero(0, 2)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: IntMatrix(2, 2, (1, 2, 3, 1.5)), id="dense-float"),
+    pytest.param(lambda: IntMatrix(1, 2, (0.0, 1)), id="dense-float-zero"),
+    pytest.param(lambda: IntMatrix(1, 2, ("1", 1)), id="dense-str"),
+    pytest.param(lambda: IntMatrix(2, 2, (1, 2, 3)), id="dense-length"),
+    pytest.param(lambda: IntMatrix(-1, 2, ()), id="dense-negative-rows"),
+    pytest.param(lambda: IntMatrix(2, -1, ()), id="dense-negative-cols"),
+    pytest.param(lambda: IntMatrix.from_sparse(1, 2, [{0: 1.0}]), id="sparse-float"),
+    pytest.param(lambda: IntMatrix.from_sparse(1, 2, [{0: 0}]), id="sparse-zero"),
+    pytest.param(lambda: IntMatrix.from_sparse(1, 2, [{2: 1}]), id="sparse-column-high"),
+    pytest.param(lambda: IntMatrix.from_sparse(1, 2, [{-1: 1}]), id="sparse-column-negative"),
+    pytest.param(lambda: IntMatrix.from_sparse(1, 2, [{1.0: 1}]), id="sparse-column-float"),
+    pytest.param(lambda: IntMatrix.from_sparse(2, 2, [{0: 1}]), id="sparse-row-count"),
+    pytest.param(lambda: IntMatrix.from_sparse(-1, 2, []), id="sparse-negative-rows"),
+    pytest.param(lambda: IntMatrix.from_text("-1 2\n"), id="text-negative"),
+    pytest.param(lambda: IntMatrix.from_text("2 2\n1 2 3 x"), id="text-token"),
+    pytest.param(lambda: IntMatrix.identity(-1), id="identity-negative"),
+    pytest.param(lambda: IntMatrix.zero(2, -3), id="zero-negative"),
+])
+def test_constructors_refuse_malformed_input(build):
+    with pytest.raises(MatrixFormatError):
+        build()
+
+
+def test_matrices_are_immutable():
+    a = IntMatrix.from_sparse(2, 2, [{0: 1}, {}])
+    with pytest.raises(AttributeError):
+        a.rows = 3
+    rows = [{0: 1}, {1: 2}]
+    b = IntMatrix.from_sparse(2, 2, rows)
+    rows[0][1] = 5  # the constructor copied the rows
+    assert b.to_lists() == [[1, 0], [0, 2]]
+
+
+def test_engines_never_mutate_a_matrix():
+    rng = random.Random(16)
+    for rows, cols in [(6, 4), (4, 6), (5, 5), (3, 0), (0, 3)] + [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(12)]:
+        dense, a = both_builds(rng, rows, cols, -20, 20, 0.6)
+        runs = []
+        for _ in range(2):
+            lattice = LatticeBasis(a)
+            dec = smith_normal_form(a)
+            runs.append((
+                hermite_normal_form(a), invariant_factors(a), kernel_basis(a), cokernel(a),
+                (dec.S, dec.U, dec.V, dec.invariant_factors),
+                (lattice.basis, lattice.pivot_cols),
+            ))
+            assert a == dense and a.entries == dense.entries
+        assert runs[0] == runs[1]

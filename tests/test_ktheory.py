@@ -105,3 +105,31 @@ def test_scaling_behaviour():
         assert big.k0.torsion == (c * d,) * (2 * n - 1)
         if d > 1:
             assert small.k0.torsion == (d,) * (2 * n - 1)
+
+
+def dense_boundary_matrix(k):
+    """The boundary matrix built densely, row by row: the oracle for the
+    sparse builder."""
+    n = k.n
+    sizes = list(k)
+    entries = []
+    for i in range(n):
+        for a in range(n):
+            row = [0] * (2 * n)
+            row[i] = sizes[a]
+            row[n + a] = -sizes[i]
+            entries += row
+    entries += [-x for x in sizes] + sizes
+    return n * n + 1, 2 * n, entries
+
+
+def test_sparse_boundary_matches_dense_oracle():
+    rng = random.Random(13)
+    vectors = [DimVector.of(1), DimVector.of(2, 4)] + [
+        DimVector(tuple(rng.randint(1, 15) for _ in range(rng.randint(1, 12)))) for _ in range(40)
+    ]
+    for k in vectors:
+        rows, cols, entries = dense_boundary_matrix(k)
+        b = boundary_matrix(k)
+        assert (b.rows, b.cols) == (rows, cols)
+        assert b.entries == tuple(entries)

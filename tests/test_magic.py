@@ -1,7 +1,10 @@
 import itertools
+import math
 
 import pytest
 
+from qautk import magic
+from qautk.exact_linalg import invariant_factors
 from qautk.magic import (
     MagicMatrix,
     PermutationError,
@@ -92,3 +95,35 @@ def test_row_sum_relation():
     ones = [1] * m.rows
     col0 = [m.at(r, 0) for r in range(m.rows)]
     assert col0 == ones
+
+
+def dense_evaluation_matrix(n):
+    """Rows of the evaluation matrix built densely: the oracle for the
+    sparse builder."""
+    rows = []
+    for sigma in itertools.permutations(range(n)):
+        rows.append([1] + [1 if sigma[i] == j else 0 for i in range(n) for j in range(n)])
+    return rows
+
+
+def restricted_slices(n):
+    """Column runs for {1} and u_ij with i, j <= n - 2 (0-based i, j < n - 1)."""
+    return [slice(0, 1)] + [slice(1 + i * n, i * n + n) for i in range(n - 1)]
+
+
+def test_sparse_evaluation_and_restriction_match_dense_oracle(monkeypatch):
+    seen = []
+
+    def spy(a):
+        seen.append(a)
+        return invariant_factors(a)
+
+    monkeypatch.setattr(magic, "invariant_factors", spy)
+    for n in range(1, 7):
+        rows = dense_evaluation_matrix(n)
+        assert evaluation_matrix(n).to_lists() == rows
+        generator_rank_report(n)
+        full, restricted = seen[-2:]
+        assert full.to_lists() == rows
+        assert restricted.to_lists() == [[x for run in restricted_slices(n) for x in row[run]] for row in rows]
+        assert (restricted.rows, restricted.cols) == (math.factorial(n), 1 + (n - 1) ** 2)

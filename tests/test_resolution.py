@@ -1,11 +1,12 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from qautk import cli, resolution
 from qautk.dims import DimVector
-from qautk.exact_linalg import IntMatrix, LatticeBasis, invariant_factors, kernel_basis
+from qautk.exact_linalg import IntMatrix, LatticeBasis, _row_reduce, invariant_factors, kernel_basis
 from qautk.repring import HALF_INTEGRAL, INTEGRAL, RepRingElement
 from qautk.resolution import (
     TEST_ALGEBRA,
@@ -462,3 +463,42 @@ def test_degree_bound_does_not_drive_the_cost(monkeypatch, capsys):
     for test in TEST_OBJECTS:
         assert results[test]["exact"] is results[test]["all_degrees"] is True
         assert results[test]["certified_degree"] == 99999
+
+
+def fraction_solve_preimages(d1, targets):
+    """A solution over Q of d1 x = g in the degree-2 truncation for each
+    target g, free coordinates zero, from one reduced echelon form of
+    [d1 | g_1 ... g_N]: the oracle for the integer back-substitution."""
+    cols = resolution._truncated_d1_columns(d1, 2)
+    nunk = len(cols)
+    rows = []
+    for i in range(len(cols[0])):
+        row = {j: Fraction(col[i]) for j, col in enumerate(cols) if col[i]}
+        row.update((nunk + g, Fraction(vec[i])) for g, vec in enumerate(targets) if i < len(vec) and vec[i])
+        rows.append(row)
+    reduced, pivots = _row_reduce(rows)
+    solutions = [[Fraction(0)] * nunk for _ in targets]
+    for row, p in zip(reduced, pivots):
+        if p < nunk:
+            for c, x in row.items():
+                if c >= nunk:
+                    solutions[c - nunk][p] = x
+    return solutions
+
+
+def test_integer_preimages_match_the_fraction_oracle():
+    rng = random.Random(21)
+    for _ in range(40):
+        dims = DimVector(tuple(rng.randint(1, 12) for _ in range(rng.randint(1, 10))))
+        for test in TEST_OBJECTS:
+            d1, ev = build_complex(dims, test)
+            targets = [g for _, g in _shift_kernel_basis(ev, 1)]
+            # a target outside ker d0 too: its candidate must not pass
+            targets.append([1] + [0] * (len(targets[0]) - 1))
+            solutions = resolution._solve_preimages(d1, targets)
+            assert all(type(v) is int for x in solutions for v in x)
+            oracle = fraction_solve_preimages(d1, targets)
+            assert solutions[:-1] == oracle[:-1]
+            terms = resolution._column_terms(d1)
+            assert all(resolution._is_preimage(terms, x, g) for x, g in zip(solutions[:-1], targets))
+            assert not resolution._is_preimage(terms, solutions[-1], targets[-1])
