@@ -306,7 +306,7 @@ def _parse_qc_entry(value) -> ComplexRational:
     if isinstance(value, str):
         try:
             return ComplexRational.of(Fraction(value))
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise InputError(f"cannot parse rational {value!r}") from None
     if isinstance(value, list) and len(value) == 2:
         re = _parse_qc_entry(value[0])

@@ -279,7 +279,10 @@ def _rational_from_json(data) -> Fraction:
         raise ValueError("coefficients must be exact: use \"p/q\" strings, not floats")
     if isinstance(data, bool) or not isinstance(data, (int, str)):
         raise ValueError(f"cannot read a rational from {data!r}")
-    return Fraction(data)
+    try:
+        return Fraction(data)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {data!r}") from None
 
 
 def cyclotomic_from_json(order: int, data) -> Cyclotomic:

@@ -16,12 +16,16 @@ proved by Light's test (Clifford and Preston, The Algebraic Theory of
 Semigroups I, 1961, section 1.2): (x s) y = x (s y) for all basis x, y and
 every s in a generating set S, n^2 |S| checks instead of n^3 (see
 ``_generating_set``).  All linear algebra is one sparse exact elimination.
+When every cell is one root of unity times one basis element, as in a
+twisted group algebra, ``validate`` and ``extract_torsion_data`` run on an
+integer table of (index, exponent mod m) pairs (``_monomial_table``).
 
 The block sizes come from two trace forms on the center: Tr_A(L_xy) and
 Tr_Z(L_xy|_Z), which in the basis of central primitive idempotents read
 diag(m_i^2) and the identity.  Ranks of their combinations count the blocks
 of each size exactly, and every count is certified against the exact center
-dimension and the algebra dimension.
+dimension and the algebra dimension.  Tr_A(L_x) vanishes off the identity
+component, so Tr_A(L_xy) is built only where deg x deg y = e (``_trace_form``).
 """
 
 from __future__ import annotations
@@ -541,35 +545,14 @@ class GradedAlgebra:
         a generating set S whose left-normed products span the algebra (see
         ``_generating_set``; their rank comes from one sparse elimination),
         n^2 |S| checks in all.  A failure names the first failing (i, j, k)
-        with j in S.
+        with j in S.  On a monomial table (see ``_monomial_table``) the checks
+        run in exponent arithmetic, with the same order and witnesses.
         """
-        n = len(self.basis_labels)
-        mult = self.mult
-        one = Cyclotomic.one(self.root_order)
-        stars = [_combine([(one, cell)]) for cell in self.star]
-        for i in range(n):
-            if self.star_vector(stars[i]) != {i: one}:
-                raise GradedAlgebraError(f"involution is not involutive on basis {i}")
-        for i in range(n):
-            for j in range(n):
-                # (e_i e_j)* = sum of conj(c) e_z* over the cell, against e_j* e_i*
-                lhs = _combine((c.conjugate(), self.star[z]) for z, c in mult[i][j])
-                if lhs != self.multiply_vectors(stars[j], stars[i]):
-                    raise GradedAlgebraError(
-                        f"involution is not anti-multiplicative on basis ({i}, {j})"
-                    )
-        gens = _algebra_generators(mult, self.root_order)
-        for i in range(n):
-            for j in gens:
-                ij = mult[i][j]
-                for kk in range(n):
-                    # (e_i e_j) e_k against e_i (e_j e_k), expanded over the cells
-                    lhs = _combine((c, mult[z][kk]) for z, c in ij)
-                    rhs = _combine((c, mult[i][y]) for y, c in mult[j][kk])
-                    if lhs != rhs:
-                        raise GradedAlgebraError(
-                            f"product is not associative at ({i}, {j}, {kk})"
-                        )
+        table = _monomial_table(self)
+        if table is None:
+            _validate_cells(self)
+        else:
+            _validate_monomial(self, *table)
 
     @property
     def dim(self) -> int:
@@ -621,6 +604,86 @@ class GradedAlgebra:
         )
         algebra.validate()
         return algebra
+
+
+def _validate_cells(b: GradedAlgebra) -> None:
+    """``validate`` on any structure constants, in ``Cyclotomic`` arithmetic."""
+    n = b.dim
+    mult = b.mult
+    one = Cyclotomic.one(b.root_order)
+    stars = [_combine([(one, cell)]) for cell in b.star]
+    for i in range(n):
+        if b.star_vector(stars[i]) != {i: one}:
+            raise GradedAlgebraError(f"involution is not involutive on basis {i}")
+    for i in range(n):
+        for j in range(n):
+            # (e_i e_j)* = sum of conj(c) e_z* over the cell, against e_j* e_i*
+            lhs = _combine((c.conjugate(), b.star[z]) for z, c in mult[i][j])
+            if lhs != b.multiply_vectors(stars[j], stars[i]):
+                raise GradedAlgebraError(f"involution is not anti-multiplicative on basis ({i}, {j})")
+    gens = _algebra_generators(mult, b.root_order)
+    for i in range(n):
+        for j in gens:
+            ij = mult[i][j]
+            for kk in range(n):
+                # (e_i e_j) e_k against e_i (e_j e_k), expanded over the cells
+                lhs = _combine((c, mult[z][kk]) for z, c in ij)
+                rhs = _combine((c, mult[i][y]) for y, c in mult[j][kk])
+                if lhs != rhs:
+                    raise GradedAlgebraError(f"product is not associative at ({i}, {j}, {kk})")
+
+
+def _monomial_table(b: GradedAlgebra):
+    """(index, exp, star_index, star_exp) with e_i e_j = zeta^exp[i][j]
+    e_index[i][j] and e_i* = zeta^star_exp[i] e_star_index[i], zeta =
+    zeta_root_order, when every mult and star cell is one term whose
+    coefficient is a root of unity; None for any other algebra.  Exact,
+    since zeta^a = zeta^b exactly when a = b mod root_order."""
+
+    def read(cells):
+        pairs = [(cell[0][0], cell[0][1].root_exponent()) if len(cell) == 1 else (0, None) for cell in cells]
+        if all(a is not None for _, a in pairs):
+            return [z for z, _ in pairs], [a for _, a in pairs]
+
+    star = read(b.star)
+    rows = [read(row) for row in b.mult] if star else [None]
+    return None if None in rows else ([z for z, _ in rows], [a for _, a in rows], *star)
+
+
+def _validate_monomial(b: GradedAlgebra, index, exp, star_index, star_exp) -> None:
+    """``validate`` on a monomial table, comparing indices and exponents mod
+    m: the checks, order and witnesses of ``_validate_cells``.
+
+    S is the same: every left-normed word of ``_algebra_generators`` is a
+    root of unity times one basis element, so it raises the rank exactly
+    when its index is new, and the set closure of ``_group_generators`` on
+    the index table picks the same generators.
+    """
+    n, m = b.dim, b.root_order
+    for i in range(n):
+        # (e_i*)* = zeta^(star_exp[s] - star_exp[i]) e_star_index[s], s = star_index[i]
+        s = star_index[i]
+        if star_index[s] != i or (star_exp[s] - star_exp[i]) % m:
+            raise GradedAlgebraError(f"involution is not involutive on basis {i}")
+    for i in range(n):
+        si, ai = star_index[i], star_exp[i]
+        for j in range(n):
+            # (e_i e_j)* = zeta^(star_exp[p] - exp[i][j]) e_star_index[p], p = index[i][j],
+            # against e_j* e_i* = zeta^(star_exp[j] + ai + exp[sj][si]) e_index[sj][si]
+            p, sj = index[i][j], star_index[j]
+            if star_index[p] != index[sj][si] or (star_exp[p] - exp[i][j] - star_exp[j] - ai - exp[sj][si]) % m:
+                raise GradedAlgebraError(f"involution is not anti-multiplicative on basis ({i}, {j})")
+    gens = _group_generators(index)
+    for i in range(n):
+        pi, ei = index[i], exp[i]
+        for j in gens:
+            pz, ez = index[pi[j]], exp[pi[j]]
+            pj, ej, a = index[j], exp[j], ei[j]
+            for kk in range(n):
+                # (e_i e_j) e_k = zeta^(a + ez[k]) e_pz[k] against e_i (e_j e_k) = zeta^(ej[k] + ei[y]) e_pi[y]
+                y = pj[kk]
+                if pz[kk] != pi[y] or (a + ez[kk] - ej[kk] - ei[y]) % m:
+                    raise GradedAlgebraError(f"product is not associative at ({i}, {j}, {kk})")
 
 
 def _combine(terms) -> SparseVec:
@@ -686,49 +749,62 @@ def extract_torsion_data(b: GradedAlgebra) -> tuple[FiniteGroup, Cocycle]:
     every nonzero component to be one-dimensional and spanned by an element
     with b* b a positive multiple of the unit.  The returned cocycle is the
     one of the normalized unitaries; its class invariants, not the table
-    itself, are canonical.
+    itself, are canonical.  On a monomial table (see ``_monomial_table``)
+    it runs in exponent arithmetic, with the same results and messages.
     """
-    if not is_ergodic(b):
-        raise NonErgodicError(
-            f"identity component has dimension {len(b.component(b.group.identity))}"
-        )
+    table = _monomial_table(b)
+    return _extract_cells(b) if table is None else _extract_monomial(b, *table)
+
+
+def _graded_support(b: GradedAlgebra) -> dict[int, int]:
+    """The basis index spanning each nonzero component, by ascending group
+    element, once b is ergodic, its components at most one-dimensional and
+    its support closed under inverse and product."""
     g = b.group
-    e = g.identity
+    if not is_ergodic(b):
+        raise NonErgodicError(f"identity component has dimension {len(b.component(g.identity))}")
     components: dict[int, list[int]] = {}
     for idx, gi in enumerate(b.grading):
         components.setdefault(gi, []).append(idx)
     for s, idxs in components.items():
         if len(idxs) > 1:
-            raise TorsionExtractionError(
-                f"component of {g.label(s)} has dimension {len(idxs)}"
-            )
+            raise TorsionExtractionError(f"component of {g.label(s)} has dimension {len(idxs)}")
+    support = sorted(components)
+    for s in support:
+        if g.inv(s) not in components:
+            raise TorsionExtractionError(f"support not closed under inverse at {g.label(s)}")
+        for t in support:
+            if g.mul(s, t) not in components:
+                raise TorsionExtractionError(f"support not closed under product at ({g.label(s)}, {g.label(t)})")
+    return {s: components[s][0] for s in support}
+
+
+def _torsion_pair(g: FiniteGroup, support: list[int], m_big: int, values) -> tuple[FiniteGroup, Cocycle]:
+    """The support subgroup and the cocycle with exponent values[s][t]."""
+    pos = {s: i for i, s in enumerate(support)}
+    sub_table = tuple(tuple(pos[g.mul(s, t)] for t in support) for s in support)
+    subgroup = FiniteGroup(sub_table, pos[g.identity], tuple(g.label(s) for s in support))
+    return subgroup, Cocycle(subgroup, m_big, tuple(map(tuple, values)))
+
+
+def _extract_cells(b: GradedAlgebra) -> tuple[FiniteGroup, Cocycle]:
+    """``extract_torsion_data`` on any structure constants, in ``Cyclotomic``
+    arithmetic."""
+    basis = _graded_support(b)
+    g = b.group
+    e = g.identity
 
     # normalize the identity component to the unit
-    e_idx = components[e][0]
+    e_idx = basis[e]
     be = b.vec_of_basis(e_idx)
     square = b.multiply_vectors(be, be)
     c = square.get(e_idx)
     if c is None or c.is_zero():
         raise TorsionExtractionError("identity component squares to zero")
-    unit = {e_idx: c.inverse()}
-    check = b.multiply_vectors(unit, unit)
-    if check != unit:
-        raise TorsionExtractionError("identity component does not contain a unit")
+    unit = {e_idx: c.inverse()}  # a unit: e_idx e_idx = c e_idx, A_e being one-dimensional
 
-    support = sorted(components)
-    pos = {s: i for i, s in enumerate(support)}
-    for s in support:
-        if g.inv(s) not in pos:
-            raise TorsionExtractionError(f"support not closed under inverse at {g.label(s)}")
-        for t in support:
-            if g.mul(s, t) not in pos:
-                raise TorsionExtractionError(
-                    f"support not closed under product at ({g.label(s)}, {g.label(t)})"
-                )
-
-    reps: dict[int, SparseVec] = {
-        s: (unit if s == e else b.vec_of_basis(components[s][0])) for s in support
-    }
+    support = list(basis)
+    reps: dict[int, SparseVec] = {s: (unit if s == e else b.vec_of_basis(x)) for s, x in basis.items()}
 
     # b* b must be a positive multiple of the unit: the invertibility check
     lam: dict[int, Cyclotomic] = {}
@@ -750,16 +826,14 @@ def extract_torsion_data(b: GradedAlgebra) -> tuple[FiniteGroup, Cocycle]:
 
     m_big = 2 * (b.root_order if b.root_order % 2 == 0 else 2 * b.root_order)
     table = [[0] * len(support) for _ in support]
-    for s in support:
-        for t in support:
+    for si, s in enumerate(support):
+        for ti, t in enumerate(support):
             st = g.mul(s, t)
             prod = b.multiply_vectors(reps[s], reps[t])
             tgt_idx, inv_coeff = inv_rep[st]
             gamma = prod.get(tgt_idx)
             if gamma is None:
-                raise TorsionExtractionError(
-                    f"product of components {g.label(s)}, {g.label(t)} vanishes"
-                )
+                raise TorsionExtractionError(f"product of components {g.label(s)}, {g.label(t)} vanishes")
             gamma = gamma * inv_coeff
             # omega = gamma * sqrt(lam_st / (lam_s lam_t)) must be a root of
             # unity; its square zeta^j is read off exactly, which leaves the
@@ -776,16 +850,42 @@ def extract_torsion_data(b: GradedAlgebra) -> tuple[FiniteGroup, Cocycle]:
                     f"normalized cocycle value at ({g.label(s)}, {g.label(t)}) "
                     "is not a root of unity"
                 )
-            table[pos[s]][pos[t]] = matches[0]
+            table[si][ti] = matches[0]
+    return _torsion_pair(g, support, m_big, table)
 
-    sub_table = tuple(
-        tuple(pos[g.mul(s, t)] for t in support) for s in support
-    )
-    subgroup = FiniteGroup(
-        sub_table, pos[e], tuple(g.label(s) for s in support)
-    )
-    cocycle = Cocycle(subgroup, m_big, tuple(tuple(row) for row in table))
-    return subgroup, cocycle
+
+def _extract_monomial(b: GradedAlgebra, index, exp, star_index, star_exp) -> tuple[FiniteGroup, Cocycle]:
+    """``extract_torsion_data`` on a monomial table, in exponents mod m.
+
+    With x_s the basis index of s and c = exp[x_e][x_e], the unit is
+    zeta^-c e_(x_e) and d_s = zeta^r_s e_(x_s), r_e = -c, else 0.  By the
+    grading, every product is a root of unity times one basis element, so
+    each test of ``_extract_cells`` reads an exponent: d_s* d_s =
+    zeta^(star_exp[x] + exp[star_index[x]][x]) e_(x_e), x = x_s, gives
+    lambda_s = zeta^k, k that plus c, positive exactly when k = 0.  Then
+    every lambda is 1 and omega(s, t) = zeta^(r_s + r_t + exp[x_s][x_t] -
+    r_st), times m_big / m in zeta_m_big: the root the sign test keeps.  A
+    ``Cyclotomic`` is built only to word a failure.
+    """
+    basis = _graded_support(b)
+    g, m = b.group, b.root_order
+    e = g.identity
+    c = exp[basis[e]][basis[e]]
+    for s, x in basis.items():
+        k = (star_exp[x] + exp[star_index[x]][x] + c) % m
+        if k:
+            raise TorsionExtractionError(
+                f"component of {g.label(s)} is not spanned by an invertible: "
+                f"b* b = {Cyclotomic.root(m, k)} times the unit"
+            )
+    m_big = 2 * (m if m % 2 == 0 else 2 * m)
+    scale = m_big // m
+    r = {s: -c if s == e else 0 for s in basis}
+    values = [
+        [(r[s] + r[t] + exp[x][basis[t]] - r[g.mul(s, t)]) * scale % m_big for t in basis]
+        for s, x in basis.items()
+    ]
+    return _torsion_pair(g, list(basis), m_big, values)
 
 
 # ---------------------------------------------------------------------------
@@ -839,65 +939,70 @@ def center_dimension(b: GradedAlgebra) -> int:
     return len(_center_basis(b))
 
 
-def _left_traces(b: GradedAlgebra, basis: list[tuple[int, SparseVec]]) -> list[Cyclotomic]:
-    """theta[j] = sum over (f, z) in basis of the f-coordinate of e_j z.
+def _trace_form(b: GradedAlgebra) -> tuple[dict[int, Cyclotomic], list[SparseVec]]:
+    """theta = Tr_A(L_.) on A_e, and the trace form (e_i, e_j) -> theta(e_i
+    e_j) as sparse rows, built only at the cells with deg i deg j = e.
 
-    For a basis in the form ``_kernel`` returns, the f-coordinate of an
-    element of the span is its coefficient on z, so theta(x) is the trace of
-    left multiplication by x on the span whenever x preserves it.
+    For homogeneous x of degree g != e, L_x maps each component A_h into
+    A_gh != A_h, so its matrix in the homogeneous basis has a zero diagonal
+    and Tr_A(L_x) = 0.  So theta vanishes off A_e, where theta(e_j) is the
+    sum over i of the e_i-coefficient of e_j e_i, and theta(e_i e_j), e_i
+    e_j being in A_(deg i deg j), can be nonzero only where deg i deg j = e:
+    sum over g of dim A_g dim A_(g^-1) cells, n for a twisted group algebra.
     """
+    g = b.group
     zero = Cyclotomic.zero(b.root_order)
-    theta = []
-    for j in range(b.dim):
-        acc = zero
-        for f, z in basis:
-            for i, x in z.items():
-                for w, c in b.mult[j][i]:
-                    if w == f:
-                        acc = acc + x * c
-        theta.append(acc)
-    return theta
-
-
-def _functional_gram(b: GradedAlgebra, theta: list[Cyclotomic]) -> list[SparseVec]:
-    """The bilinear form (e_i, e_j) -> theta(e_i e_j) of a linear functional,
-    as sparse rows."""
-    zero = Cyclotomic.zero(b.root_order)
-    return [
-        {j: x for j, cell in enumerate(row) if (x := sum((c * theta[z] for z, c in cell), zero))}
-        for row in b.mult
+    theta = {
+        j: sum((c for i, cell in enumerate(b.mult[j]) for w, c in cell if w == i), zero)
+        for j in b.component(g.identity)
+    }
+    return theta, [
+        {j: x for j in b.component(g.inv(gi)) if (x := sum((c * theta[z] for z, c in b.mult[i][j]), zero))}
+        for i, gi in enumerate(b.grading)
     ]
 
 
-def _restrict(form: list[SparseVec], vecs: list[SparseVec], zero: Cyclotomic):
-    """Z^T F Z, for F given by sparse rows and the matrix Z whose columns are
-    the sparse vectors vecs."""
-
-    def dot(z: SparseVec, row: SparseVec) -> Cyclotomic:
-        return sum((y * row[j] for j, y in z.items() if j in row), zero)
-
-    columns = [{i: x for i, row in enumerate(form) if (x := dot(z, row))} for z in vecs]  # F z
-    return [[dot(za, col) for col in columns] for za in vecs]
+def _center_products(b: GradedAlgebra, center: list[tuple[int, SparseVec]]) -> list[list[SparseVec]]:
+    """N[a][c] = coordinates of z_a z_c on the center basis: z_a z_c is
+    central, so they are its entries at the free columns of ``_kernel``'s
+    basis, and only those are summed, once per pair (Z is commutative)."""
+    free = {f: d for d, (f, _) in enumerate(center)}
+    zero = Cyclotomic.zero(b.root_order)
+    r = len(center)
+    coords: list[list[SparseVec]] = [[{}] * r for _ in range(r)]
+    for a, (_, za) in enumerate(center):
+        for c in range(a, r):
+            acc: SparseVec = {}
+            for i, x in za.items():
+                for j, y in center[c][1].items():
+                    for w, v in b.mult[i][j]:
+                        if (d := free.get(w)) is not None:
+                            acc[d] = acc.get(d, zero) + x * y * v
+            coords[a][c] = coords[c][a] = acc
+    return coords
 
 
 def block_decomposition(b: GradedAlgebra) -> tuple[int, ...]:
     """Wedderburn block sizes (m_1, ..., m_r), sorted ascending, exactly.
 
-    Semisimplicity is certified by a nondegenerate trace form Tr_A(L_xy);
+    Semisimplicity is certified by a nondegenerate trace form Tr_A(L_xy),
+    built only where the grading lets it be nonzero (``_trace_form``);
     otherwise NonSemisimpleError carries a radical element as witness.  On a
     basis z_1..z_r of the center Z, two forms are compared:
-    B_A[a][b] = Tr_A(L_{z_a z_b}) and B_Z[a][b] = Tr_Z(L_{z_a z_b}|_Z).  In
-    the basis of central primitive idempotents they are diag(m_i^2) and the
-    identity, so by congruence exactly r - rank(B_A - m^2 B_Z) blocks have
-    size m.  Every rank is taken over Q(zeta); no eigenvalue, prime or random
-    element is involved.  The counts are certified to sum to r and to give
-    sum m_i^2 = dim; a failure there is an internal error (RuntimeError).
+    B_A[a][b] = Tr_A(L_{z_a z_b}) and B_Z[a][b] = Tr_Z(L_{z_a z_b}|_Z).  With
+    z_a z_b = sum_c N_ab^c z_c (``_center_products``), each is sum_c N_ab^c
+    times the trace of L_{z_c}, Tr_Z(L_{z_c}|_Z) being sum_d N_cd^d, so no
+    n x n Gram is built.  In the basis of central primitive idempotents they
+    are diag(m_i^2) and the identity, so by congruence exactly r - rank(B_A
+    - m^2 B_Z) blocks have size m.  Every rank is taken over Q(zeta); no
+    eigenvalue, prime or random element is involved.  The counts are
+    certified to sum to r and to give sum m_i^2 = dim; a failure there is
+    an internal error (RuntimeError).
     """
     n = b.dim
     order = b.root_order
     zero = Cyclotomic.zero(order)
-    one = Cyclotomic.one(order)
-    trace_form = _functional_gram(b, _left_traces(b, [(i, {i: one}) for i in range(n)]))
+    theta, trace_form = _trace_form(b)
     radical = _kernel(trace_form, n, order)
     if radical:
         _, witness = radical[0]
@@ -906,15 +1011,17 @@ def block_decomposition(b: GradedAlgebra) -> tuple[int, ...]:
             {b.basis_labels[i]: str(c) for i, c in sorted(witness.items())},
         )
     center = _center_basis(b)
-    vecs = [z for _, z in center]
-    b_a = _restrict(trace_form, vecs, zero)
-    b_z = _restrict(_functional_gram(b, _left_traces(b, center)), vecs, zero)
     r = len(center)
+    coords = _center_products(b, center)
+    trace_a = [sum((x * theta[j] for j, x in z.items() if j in theta), zero) for _, z in center]
+    trace_z = [sum((coords[c][d].get(d, zero) for d in range(r)), zero) for c in range(r)]
     blocks: list[int] = []
     for m in range(1, math.isqrt(n) + 1):
         if len(blocks) == r:
             break  # every larger size has count 0
-        diff = [dict(enumerate(x - y.scale(m * m) for x, y in zip(ra, rz))) for ra, rz in zip(b_a, b_z)]
+        # B_A - m^2 B_Z, each entry a combination of the weights by N_ab^c
+        weights = [x - y.scale(m * m) for x, y in zip(trace_a, trace_z)]
+        diff = [{a: sum((x * weights[c] for c, x in nab.items()), zero) for a, nab in enumerate(row)} for row in coords]
         _, pivots = _row_reduce(diff)
         blocks.extend([m] * (r - len(pivots)))
     if len(blocks) != r or sum(m * m for m in blocks) != n:

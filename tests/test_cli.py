@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import qautk
-from qautk import cli, exact_linalg, resolution
+from qautk import cli, exact_linalg, resolution, torsion
 from qautk.cli import main
+from qautk.cyclotomic import Cyclotomic
 
 
 def run(capsys, *argv):
@@ -261,6 +262,64 @@ def test_s5_twisted_group_and_extract_within_budget(capsys, monkeypatch):
     assert elapsed < 5.0
 
 
+def test_d60_extract_torsion_within_budget(capsys, monkeypatch):
+    # order 120: about 2.4 s of CPU on a shared 2-vCPU host while validate
+    # and the extraction multiplied Cyclotomic roots of unity and both trace
+    # forms were full Grams; about 0.6 s on exponents and graded cells
+    code, payload = run_json(capsys, "twisted-group", "--group", "D60", "--cocycle", "trivial")
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload["results"]["algebra"])))
+    start = time.process_time()
+    code, payload = run_json(capsys, "extract-torsion", "--algebra", "-")
+    elapsed = time.process_time() - start
+    assert code == 0
+    assert payload["results"]["blocks"] == [1] * 4 + [2] * 29
+    assert payload["results"]["regular_classes"] == 33
+    assert elapsed < 1.5
+
+
+def test_monomial_algebra_is_checked_and_extracted_without_cyclotomic_products(capsys, monkeypatch):
+    # S4 x C2 (order 48) on the basis d'_s = zeta_6^(r_s) d_s: every cell is
+    # one root of unity, so validate and extract_torsion_data read exponents
+    group = torsion.FiniteGroup.direct_product(torsion.FiniteGroup.symmetric(4), torsion.FiniteGroup.cyclic(2))
+    n, m, inv = group.order, 6, group.inv
+    rng = random.Random(48)
+    r = [rng.randrange(m) for _ in range(n)]
+    algebra = {
+        "group": group.to_dict(),
+        "basis": [f"d{s}" for s in range(n)],
+        "grading": list(range(n)),
+        "root_order": m,
+        "mult": [[[[group.mul(s, t), {"exp": (r[s] + r[t] - r[group.mul(s, t)]) % m}]] for t in range(n)] for s in range(n)],
+        "star": [[[inv(s), {"exp": (-r[s] - r[inv(s)]) % m}]] for s in range(n)],
+    }
+    depth, products = [0], {"inside": 0, "outside": 0}
+    mul = Cyclotomic.__mul__
+
+    def counting_mul(self, other):
+        products["inside" if depth[0] else "outside"] += 1
+        return mul(self, other)
+
+    def spied(fn):
+        def wrapper(*args):
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    monkeypatch.setattr(Cyclotomic, "__mul__", counting_mul)
+    monkeypatch.setattr(torsion.GradedAlgebra, "validate", spied(torsion.GradedAlgebra.validate))
+    monkeypatch.setattr(cli, "extract_torsion_data", spied(cli.extract_torsion_data))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(algebra)))
+    code, payload = run_json(capsys, "extract-torsion", "--algebra", "-")
+    assert code == 0
+    assert payload["results"]["blocks"] == [1, 1, 1, 1, 2, 2, 3, 3, 3, 3]
+    assert products["inside"] == 0
+    assert products["outside"] > 0  # block_decomposition still multiplies: the spy sees products
+
+
 def test_twisted_group_named_groups(capsys):
     code, payload = run_json(capsys, "twisted-group", "--group", "S3", "--cocycle", "trivial")
     assert code == 0
@@ -422,6 +481,26 @@ def test_malformed_input_exits_2(capsys, monkeypatch, argv, stdin, needle):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert needle in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["extract-torsion"], _c2_algebra(("mult", 0, 1, 0, 1), "1/0")),
+        (["extract-torsion"], _c2_algebra(("mult", 0, 1, 0, 1), {"coeffs": ["1/0", 0]})),
+        (["extract-torsion"], _c2_algebra(("star", 1, 0, 1), {"coeffs": [0, "-2/0"]})),
+        (["delta-form"], {"blocks": [1], "density": [[["1/0"]]]}),
+        (["delta-form"], {"blocks": [1], "density": [[[["1/0", 0]]]]}),
+        (["delta-form"], {"blocks": [1], "density": [[[[1, "-3/0"]]]]}),
+    ],
+)
+def test_zero_denominator_exits_2(capsys, monkeypatch, argv, stdin):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(stdin)))
+    assert main(argv + ["--algebra", "-", "--json"]) == 2  # returns: no ZeroDivisionError escapes
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "/0" in lines[0]
 
 
 @pytest.mark.parametrize(

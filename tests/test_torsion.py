@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from qautk import torsion
 from qautk.cyclotomic import Cyclotomic
+from qautk.exact_linalg import _row_reduce
 from qautk.torsion import (
     Cocycle,
     CocycleError,
@@ -14,6 +16,7 @@ from qautk.torsion import (
     GroupTableError,
     NonErgodicError,
     NonSemisimpleError,
+    TorsionExtractionError,
     block_decomposition,
     center_dimension,
     extract_torsion_data,
@@ -21,7 +24,10 @@ from qautk.torsion import (
     regular_class_count,
     twisted_group_algebra,
     _algebra_generators,
+    _extract_cells,
     _group_generators,
+    _monomial_table,
+    _validate_cells,
 )
 
 ALL_GROUPS_UP_TO_EIGHT = [
@@ -791,3 +797,338 @@ def _star_is_anti_multiplicative(alg, mult):
             if lhs != rhs:
                 return False
     return True
+
+
+# -- monomial tables against the Cyclotomic path -------------------------------
+
+
+def _outcome(fn, *args):
+    """The result of fn, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_routes_agree(alg):
+    """validate and extract_torsion_data give the same result, or the same
+    error, on the monomial table as on the Cyclotomic oracle path."""
+    assert _monomial_table(alg) is not None
+    assert _outcome(alg.validate) == _outcome(_validate_cells, alg)
+    assert _outcome(extract_torsion_data, alg) == _outcome(_extract_cells, alg)
+
+
+def _monomial_algebra(group, m, omega, r, grading=None, target=None):
+    """C*_omega(group) on the basis d'_s = zeta_m^r[s] d_s, omega an exponent
+    table mod m, optionally graded by a quotient (grading) or with the
+    product targets replaced (target[s][t]); every cell one root of unity."""
+    n, inv = group.order, group.inv
+    target = target or group.table
+
+    def root(a):
+        return Cyclotomic.root(m, a)
+
+    mult = tuple(
+        tuple(((target[s][t], root(r[s] + r[t] - r[group.mul(s, t)] + omega[s][t])),) for t in range(n))
+        for s in range(n)
+    )
+    star = tuple(((inv(s), root(-r[s] - omega[s][inv(s)] - r[inv(s)])),) for s in range(n))
+    quotient, degrees = grading or (group, tuple(range(n)))
+    return GradedAlgebra(quotient, tuple(f"d{s}" for s in range(n)), degrees, m, mult, star)
+
+
+_ROUTE_A_GROUPS = {
+    "C1": FiniteGroup.cyclic(1),
+    "C2": FiniteGroup.cyclic(2),
+    "C5": FiniteGroup.cyclic(5),
+    "C6": FiniteGroup.cyclic(6),
+    "V4": FiniteGroup.klein_four(),
+    "D1": FiniteGroup.dihedral(1),
+    "D3": FiniteGroup.dihedral(3),
+    "D4": FiniteGroup.dihedral(4),
+    "Q8": FiniteGroup.quaternion(),
+    "S3": FiniteGroup.symmetric(3),
+    "S4": FiniteGroup.symmetric(4),
+    "C2xC4": _product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)),
+    "Q8xC3": _product(FiniteGroup.quaternion(), FiniteGroup.cyclic(3)),
+    "S3xC2xC2": _product(FiniteGroup.symmetric(3), FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)),
+    "json D5": FiniteGroup.from_dict(FiniteGroup.dihedral(5).to_dict()),
+}
+
+
+def _route_a_cocycles():
+    """Every named cocycle and, on every constructor's group, the trivial
+    cocycle and coboundary twists of odd and even root order."""
+    named = [Cocycle.pauli()] + [Cocycle.bilinear_on_product(a, b) for a, b in ((2, 2), (2, 4), (3, 3), (4, 4), (2, 6))]
+    for group in _ROUTE_A_GROUPS.values():
+        named += [Cocycle.trivial(group), _coboundary(group, 3), _coboundary(group, 4)]
+    return named
+
+
+def test_monomial_table_only_on_one_root_of_unity_per_cell():
+    assert _monomial_table(twisted_group_algebra(Cocycle.pauli())) is not None
+    mult, star = _m2_sheared()
+    assert _monomial_table(_ungraded(("e11+e12", "e12", "e21", "e22"), mult, star)) is None
+    assert _monomial_table(_pauli_matrix_algebra()) is not None
+    two_zeta = Cyclotomic.root(4, 1).scale(2)
+    for m, coeff in ((4, two_zeta), (3, Cyclotomic.rational(3, -1))):  # -1 is no cube root of unity
+        alg = twisted_group_algebra(Cocycle.trivial(FiniteGroup.cyclic(2), m))
+        mult = ((alg.mult[0][0], ((1, coeff),)), alg.mult[1])
+        assert _monomial_table(_with_mult(alg, mult)) is None
+    assert _monomial_table(_matrix_units(1, 2)) is None  # empty cells
+    alg = twisted_group_algebra(Cocycle.trivial(FiniteGroup.cyclic(2), 4))
+    two_terms = ((alg.mult[0][0], ((1, Cyclotomic.one(4)), (1, Cyclotomic.one(4)))), alg.mult[1])
+    assert _monomial_table(_with_mult(alg, two_terms)) is None
+
+
+def test_monomial_routes_match_the_cyclotomic_oracle_on_valid_algebras():
+    rng = random.Random(16)
+    for omega in _route_a_cocycles():
+        group, m = omega.group, omega.root_order
+        _assert_routes_agree(twisted_group_algebra(omega))
+        # rescaled bases d'_s = zeta^(r_s) d_s, the identity included
+        m2 = 2 * m
+        doubled = [[2 * x for x in row] for row in omega.table]
+        r = [rng.randrange(m2) for _ in range(group.order)]
+        alg = _monomial_algebra(group, m2, doubled, r)
+        alg.validate()
+        _assert_routes_agree(alg)
+        assert extract_torsion_data(alg)[0] == extract_torsion_data(twisted_group_algebra(omega))[0]
+
+
+def _quotient_graded(group, k, m, rng):
+    """C*(group x C_k) graded by group: every component k-dimensional."""
+    h = _product(group, FiniteGroup.cyclic(k))
+    omega = Cocycle.coboundary(h, m, [0] + [rng.randrange(m) for _ in range(h.order - 1)]).table
+    r = [rng.randrange(m) for _ in range(h.order)]
+    return h, omega, r, (group, tuple(x // k for x in range(h.order)))
+
+
+def _monomial_corruptions(group, m, omega, r, grading, rng):
+    """Seeded one-cell corruptions that keep every cell one root of unity."""
+    n = group.order
+    base = _monomial_algebra(group, m, omega, r, grading)
+    table = [list(row) for row in group.table]
+    degrees = base.grading
+    for _ in range(8):
+        s, t = rng.randrange(n), rng.randrange(n)
+        changed = [list(row) for row in omega]
+        changed[s][t] = (changed[s][t] + rng.randrange(1, m)) % m
+        yield _monomial_algebra(group, m, changed, r, grading)
+        # the same change mirrored by the involution at (t^-1, s^-1): only
+        # associativity can fail
+        u, v = group.inv(t), group.inv(s)
+        if group.mul(s, t) != group.identity and (u, v) != (s, t):
+            changed[u][v] = (changed[u][v] - changed[s][t] + omega[s][t]) % m
+            yield _monomial_algebra(group, m, changed, r, grading)
+        same_degree = [x for x in range(n) if degrees[x] == degrees[table[s][t]] and x != table[s][t]]
+        if same_degree:
+            swapped = [list(row) for row in table]
+            swapped[s][t] = rng.choice(same_degree)
+            yield _monomial_algebra(group, m, omega, r, grading, swapped)
+        star = list(base.star)
+        (z, c), = star[s]
+        star[s] = ((z, c * Cyclotomic.root(m, rng.randrange(1, m))),)
+        yield GradedAlgebra(base.group, base.basis_labels, base.grading, m, base.mult, tuple(star))
+        if m % 2 == 0:  # lambda_s = -1
+            star = list(base.star)
+            (z, c), = star[s]
+            star[s] = ((z, -c),)
+            yield GradedAlgebra(base.group, base.basis_labels, base.grading, m, base.mult, tuple(star))
+
+
+def test_monomial_routes_match_the_cyclotomic_oracle_on_corruptions():
+    rng = random.Random(1939)
+    cases = [(omega.group, omega.root_order, omega.table) for omega in _light_cocycles().values()]
+    cases += [(g, 6, _coboundary(g, 6).table) for g in (FiniteGroup.quaternion(), FiniteGroup.symmetric(3))]
+    failed = set()
+    for group, m, omega in cases:
+        r = [rng.randrange(m) for _ in range(group.order)]
+        for alg in _monomial_corruptions(group, m, omega, r, None, rng):
+            _assert_routes_agree(alg)
+            outcome = _outcome(alg.validate)
+            if outcome is not None:
+                failed.add(outcome[1].split(" ")[3])
+    for group, k in ((FiniteGroup.cyclic(2), 2), (FiniteGroup.symmetric(3), 2), (FiniteGroup.cyclic(3), 3)):
+        h, omega, r, grading = _quotient_graded(group, k, 4, rng)
+        alg = _monomial_algebra(h, 4, omega, r, grading)
+        alg.validate()
+        _assert_routes_agree(alg)
+        with pytest.raises(NonErgodicError, match=f"identity component has dimension {k}"):
+            extract_torsion_data(alg)
+        for bad in _monomial_corruptions(h, 4, omega, r, grading, rng):
+            _assert_routes_agree(bad)
+            table = _monomial_table(bad)
+            assert _algebra_generators(bad.mult, 4) == _group_generators(table[0])
+    # the corruptions reach each of the three checks
+    assert failed == {"involutive", "anti-multiplicative", "associative"}
+
+
+def test_lambda_minus_one_is_refused_by_both_routes():
+    # C2 with d1* = -d1 is a *-algebra, but d1* d1 = -1 is not positive
+    one, minus = Cyclotomic.one(2), Cyclotomic.root(2, 1)
+    alg = GradedAlgebra(
+        FiniteGroup.cyclic(2), ("d0", "d1"), (0, 1), 2,
+        ((((0, one),), ((1, one),)), (((1, one),), ((0, one),))),
+        (((0, one),), ((1, minus),)),
+    )
+    alg.validate()
+    _assert_routes_agree(alg)
+    with pytest.raises(TorsionExtractionError, match=r"b\* b = -1 times the unit"):
+        extract_torsion_data(alg)
+
+
+# -- trace forms on the cells the grading allows, against full Grams ----------
+
+
+def _left_traces(b, basis):
+    """theta[j] = sum over (f, z) in basis of the f-coordinate of e_j z: the
+    trace of L_(e_j) on the span when e_j preserves it."""
+    zero = Cyclotomic.zero(b.root_order)
+    theta = []
+    for j in range(b.dim):
+        acc = zero
+        for f, z in basis:
+            for i, x in z.items():
+                for w, c in b.mult[j][i]:
+                    if w == f:
+                        acc = acc + x * c
+        theta.append(acc)
+    return theta
+
+
+def _functional_gram(b, theta):
+    """The full n x n form (e_i, e_j) -> theta(e_i e_j), as sparse rows."""
+    zero = Cyclotomic.zero(b.root_order)
+    return [
+        {j: x for j, cell in enumerate(row) if (x := sum((c * theta[z] for z, c in cell), zero))}
+        for row in b.mult
+    ]
+
+
+def _restrict(form, vecs, zero):
+    """Z^T F Z for F by sparse rows and Z with the columns vecs."""
+
+    def dot(z, row):
+        return sum((y * row[j] for j, y in z.items() if j in row), zero)
+
+    columns = [{i: x for i, row in enumerate(form) if (x := dot(z, row))} for z in vecs]
+    return [[dot(za, col) for col in columns] for za in vecs]
+
+
+def full_gram_block_decomposition(b):
+    """The block sizes from the two full trace-form Grams, as built before
+    the grading restricted them: the oracle of ``block_decomposition``."""
+    n, order = b.dim, b.root_order
+    zero, one = Cyclotomic.zero(order), Cyclotomic.one(order)
+    trace_form = _functional_gram(b, _left_traces(b, [(i, {i: one}) for i in range(n)]))
+    radical = torsion._kernel(trace_form, n, order)
+    if radical:
+        _, witness = radical[0]
+        raise NonSemisimpleError(
+            "trace form is degenerate: algebra is not semisimple",
+            {b.basis_labels[i]: str(c) for i, c in sorted(witness.items())},
+        )
+    center = torsion._center_basis(b)
+    vecs = [z for _, z in center]
+    b_a = _restrict(trace_form, vecs, zero)
+    b_z = _restrict(_functional_gram(b, _left_traces(b, center)), vecs, zero)
+    r = len(center)
+    blocks = []
+    for m in range(1, math.isqrt(n) + 1):
+        if len(blocks) == r:
+            break
+        diff = [dict(enumerate(x - y.scale(m * m) for x, y in zip(ra, rz))) for ra, rz in zip(b_a, b_z)]
+        _, pivots = _row_reduce(diff)
+        blocks.extend([m] * (r - len(pivots)))
+    if len(blocks) != r or sum(m * m for m in blocks) != n:
+        raise RuntimeError(f"block sizes {blocks} fail the certificate: center dimension {r}, dim {n}")
+    return tuple(blocks)
+
+
+def _graded_dual_numbers():
+    """1 in degree e and x in degree g of C2 with x^2 = 0, x* = x: graded
+    and not semisimple."""
+    one = Cyclotomic.one(1)
+    alg = GradedAlgebra(
+        FiniteGroup.cyclic(2), ("1", "x"), (0, 1), 1,
+        ((((0, one),), ((1, one),)), (((1, one),), ())),
+        (((0, one),), ((1, one),)),
+    )
+    alg.validate()
+    return alg
+
+
+def _route_b_algebras():
+    mult, star = _m2_sheared()
+    dual = ((((0, Cyclotomic.one(1)),), ((1, Cyclotomic.one(1)),)), (((1, Cyclotomic.one(1)),), ()))
+    algebras = {
+        "m2 sheared": _ungraded(("e11+e12", "e12", "e21", "e22"), mult, star),
+        "pauli matrices": _pauli_matrix_algebra(),
+        "units 1,2,2": _matrix_units(1, 2, 2),
+        "c2 ungraded": _ungraded_c2(),
+        "dual numbers": _ungraded(("1", "x"), dual, (((0, Cyclotomic.one(1)),), ((1, Cyclotomic.one(1)),))),
+        "graded dual numbers": _graded_dual_numbers(),
+    }
+    for group, seed in ((FiniteGroup.cyclic(2), 2), (FiniteGroup.symmetric(3), 3)):
+        h, omega, r, grading = _quotient_graded(group, 2, 4, random.Random(seed))
+        algebras[f"{h.order} graded by {group.order}"] = _monomial_algebra(h, 4, omega, r, grading)
+    for name in ("pauli", "bilinear:2x4", "bilinear:3x3", "Q8 coboundary:5", "D4 trivial", "D6 coboundary:6"):
+        algebras[name] = twisted_group_algebra(_CATALOGUE[name]())
+    return algebras
+
+
+def test_trace_functional_vanishes_off_the_identity_component():
+    for name, alg in _route_b_algebras().items():
+        one = Cyclotomic.one(alg.root_order)
+        theta = _left_traces(alg, [(i, {i: one}) for i in range(alg.dim)])
+        identity = set(alg.component(alg.group.identity))
+        assert all(not x for j, x in enumerate(theta) if j not in identity), name
+        assert torsion._trace_form(alg)[0] == {j: theta[j] for j in identity}, name
+
+
+@pytest.mark.parametrize("name", list(_route_b_algebras()))
+def test_block_decomposition_matches_the_full_gram_oracle(name, monkeypatch):
+    alg = _route_b_algebras()[name]
+    try:
+        expected = full_gram_block_decomposition(alg)
+    except NonSemisimpleError as oracle:
+        with pytest.raises(NonSemisimpleError) as err:
+            block_decomposition(alg)
+        assert (str(err.value), err.value.witness) == (str(oracle), oracle.witness)
+        assert "dual numbers" in name
+    else:
+        assert block_decomposition(alg) == expected
+    # a certificate failure: block sizes are searched only up to 1
+    monkeypatch.setattr(math, "isqrt", lambda n: 1)
+    outcome = _outcome(block_decomposition, alg)
+    assert outcome == _outcome(full_gram_block_decomposition, alg)
+    if name == "pauli":
+        assert outcome == (RuntimeError, "block sizes [] fail the certificate: center dimension 1, dim 4")
+
+
+class _SpiedRow(tuple):
+    """A row of structure constants that records the cells read through it."""
+
+    def __getitem__(self, j):
+        self.reads.add((self.i, j))
+        return tuple.__getitem__(self, j)
+
+
+def test_trace_form_is_built_only_where_the_grading_allows():
+    for name, alg in _route_b_algebras().items():
+        reads = set()
+        rows = tuple(_SpiedRow(row) for row in alg.mult)
+        for i, row in enumerate(rows):
+            row.i, row.reads = i, reads
+        spied = _with_mult(alg, rows)
+        reads.clear()
+        _, form = torsion._trace_form(spied)
+        g, deg = alg.group, alg.grading
+        allowed = {(i, j) for i in range(alg.dim) for j in range(alg.dim) if g.mul(deg[i], deg[j]) == g.identity}
+        bound = sum(len(alg.component(h)) * len(alg.component(g.inv(h))) for h in range(g.order))
+        assert len(allowed) == bound
+        assert reads <= allowed, name
+        assert sum(len(row) for row in form) <= bound
+        if alg.group.order > 1 and all(len(alg.component(h)) == 1 for h in range(g.order)):
+            assert bound == alg.dim  # a twisted group algebra: n cells, not n^2
