@@ -18,7 +18,7 @@ from .exact_linalg import (
     kernel_basis,
     smith_normal_form,
 )
-from .findim import AlgState, DeltaFormResult, FinDimAlgebra, gns_gram, is_delta_form, mu_mu_star
+from .findim import AlgState, DeltaFormResult, FinDimAlgebra, is_delta_form
 from .ktheory import KTheoryResult, boundary_matrix, closed_form, k_theory, verify_theorem
 from .magic import MagicMatrix, evaluation_matrix, generator_rank, permutation_to_magic
 from .repring import (
@@ -81,8 +81,6 @@ __all__ = [
     "FinDimAlgebra",
     "AlgState",
     "DeltaFormResult",
-    "gns_gram",
-    "mu_mu_star",
     "is_delta_form",
     "FiniteGroup",
     "Cocycle",

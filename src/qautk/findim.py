@@ -6,10 +6,40 @@ algebra into a Hilbert space; the multiplication map mu then has an adjoint
 mu*, and the state is a delta-form exactly when mu mu* is a scalar.  By
 Banica ("Symmetries of a generic coaction", Math. Ann. 314, 1999) mu mu*
 acts on block i as the scalar Tr(Q_i^-1), so `is_delta_form` compares these
-block values; `mu_mu_star` builds the full operator and is the second route.
-All arithmetic is over complex numbers with rational real and imaginary
-parts, so "scalar" versus "not scalar" is an exact distinction; delta itself
-is reported through the rational delta^2.
+block values.  All arithmetic is over complex numbers with rational real and
+imaginary parts, so "scalar" versus "not scalar" is an exact distinction;
+delta itself is reported through the rational delta^2.
+
+Each Hermitian block Q is factored once as Q = L D L* (L unit lower
+triangular, D = diag(d_0, ..., d_{k-1}) real), going down the diagonal: d_j
+is the (j, j) entry of the Schur complement S_j left after the pivots
+before j, that is d_j = q_jj - sum_{p<j} |l_jp|^2 d_p.
+
+* d_j < 0: Q is not positive semidefinite.
+* d_j = 0 and column j of S_j has a nonzero entry s: Q is not positive
+  semidefinite.
+* d_j = 0 and column j of S_j is zero: l_ij = 0 for i > j, and the pass
+  goes on; Q is positive semidefinite but singular, so the state is not
+  faithful.
+* every d_j > 0: Q is positive definite and
+  Tr(Q^-1) = sum_j ||row j of L^-1||^2 / d_j.
+
+Proof.  Each elimination step is a congruence by a unit lower triangular
+matrix, so Q = E (diag(d_0, ..., d_{j-1}) (+) S_j) E* with E invertible, and
+congruence preserves positive (semi)definiteness and rank (Sylvester).  A
+negative diagonal entry d_j of S_j, or d_j = 0 beside an entry s != 0 of its
+column, whose 2x2 principal minor [[0, s], [conj(s), *]] has determinant
+-|s|^2 < 0, shows S_j, hence Q, is not positive semidefinite.  When the
+pass completes, Q = L D L* is congruent to D: positive semidefinite, and
+positive definite exactly when no d_j is zero.  Then Q^-1 = L^-* D^-1 L^-1,
+and Tr(Q^-1) = Tr(D^-1 L^-1 L^-*) = sum_j (L^-1 L^-*)_jj / d_j, where
+(L^-1 L^-*)_jj is the squared norm of row j of L^-1.  A dense k x k block
+costs about k^3/3 complex products: k^3/6 for the factorization and k^3/6
+for L^-1.
+
+The GNS Gram matrix, the full operator mu mu* and the Faddeev-LeVerrier
+characteristic coefficients live in `tests/findim_oracle.py`, where they
+check this route.
 """
 
 from __future__ import annotations
@@ -20,7 +50,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .dims import DimVector
-from .exact_linalg import _row_reduce
 
 
 class NonFaithfulStateError(ValueError):
@@ -74,9 +103,6 @@ class ComplexRational:
     def conjugate(self) -> "ComplexRational":
         return ComplexRational(self.re, -self.im)
 
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
     def __bool__(self) -> bool:
         return bool(self.re or self.im)
 
@@ -90,7 +116,6 @@ class ComplexRational:
 
 
 QC_ZERO = ComplexRational(Fraction(0), Fraction(0))
-QC_ONE = ComplexRational(Fraction(1), Fraction(0))
 
 
 def qc(value, im=0) -> ComplexRational:
@@ -102,65 +127,52 @@ def qc(value, im=0) -> ComplexRational:
 QCMatrix = list  # list[list[ComplexRational]]
 
 
-def qc_identity(n: int) -> QCMatrix:
-    return [[QC_ONE if i == j else QC_ZERO for j in range(n)] for i in range(n)]
-
-
-def qc_zero_matrix(rows: int, cols: int) -> QCMatrix:
-    return [[QC_ZERO for _ in range(cols)] for _ in range(rows)]
-
-
-def qc_matmul(a: QCMatrix, b: QCMatrix) -> QCMatrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = qc_zero_matrix(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        for kk in range(inner):
-            x = ai[kk]
-            if x.is_zero():
-                continue
-            bk = b[kk]
-            oi = out[i]
-            for j in range(cols):
-                oi[j] = oi[j] + x * bk[j]
-    return out
-
-
-def qc_conj_transpose(a: QCMatrix) -> QCMatrix:
-    rows = len(a)
-    cols = len(a[0]) if a else 0
-    return [[a[i][j].conjugate() for i in range(rows)] for j in range(cols)]
-
-
 def qc_is_hermitian(a: QCMatrix) -> bool:
     n = len(a)
     return all(a[i][j] == a[j][i].conjugate() for i in range(n) for j in range(n))
 
 
-def qc_char_coefficients(a: QCMatrix) -> list[Fraction]:
-    """Elementary symmetric functions of the spectrum (Faddeev-LeVerrier).
+def _inverse_trace(q: QCMatrix) -> Fraction | None:
+    """Tr(Q^-1) of a Hermitian block by one exact LDL* pass (module docstring).
 
-    For a Hermitian matrix these are real; entries are returned as Fractions
-    and a StateFormatError is raised if an imaginary part sneaks in.
+    Returns None when Q is positive semidefinite but singular, and raises
+    StateFormatError when it is not positive semidefinite.
     """
-    n = len(a)
-    elementary: list[Fraction] = []
-    m = qc_identity(n)
-    sign = 1
-    for kk in range(1, n + 1):
-        m = qc_matmul(a, m)
-        tr = QC_ZERO
-        for i in range(n):
-            tr = tr + m[i][i]
-        c = ComplexRational(-tr.re / kk, -tr.im / kk)
-        if not c.is_real():
-            raise StateFormatError("characteristic coefficients are not real")
-        sign = -sign
-        elementary.append(sign * c.re)
-        if kk < n:
-            for i in range(n):
-                m[i][i] = m[i][i] + c
-    return elementary
+    k = len(q)
+    schur = [row[: i + 1] for i, row in enumerate(q)]  # lower triangle of S_j
+    lower: list[list[tuple[int, ComplexRational]]] = [[] for _ in range(k)]  # nonzero l_ij, j < i
+    pivots = []
+    for j in range(k):
+        d = schur[j][j].re
+        column = [(i, schur[i][j]) for i in range(j + 1, k) if schur[i][j]]
+        if d < 0 or (d == 0 and column):
+            raise StateFormatError("density block is not positive semidefinite")
+        pivots.append(d)
+        if d == 0:
+            continue
+        # S_{j+1}[i][m] = S_j[i][m] - s_ij conj(s_mj) / d for j < m <= i
+        conj_l = [(m, ComplexRational(s.re / d, -s.im / d)) for m, s in column]
+        for i, s in column:
+            row = schur[i]
+            for m, c in conj_l:
+                if m > i:
+                    break
+                row[m] = row[m] - s * c
+            lower[i].append((j, ComplexRational(s.re / d, s.im / d)))
+    if 0 in pivots:
+        return None
+    # row j of L^-1 is e_j - sum_{r<j} l_jr (row r of L^-1); kept sparse, unit diagonal implied
+    total = Fraction(0)
+    inverse_rows: list[dict[int, ComplexRational]] = []
+    for j in range(k):
+        inverse_row: dict[int, ComplexRational] = {}
+        for r, l in lower[j]:
+            inverse_row[r] = inverse_row.get(r, QC_ZERO) - l
+            for p, x in inverse_rows[r].items():
+                inverse_row[p] = inverse_row.get(p, QC_ZERO) - l * x
+        inverse_rows.append(inverse_row)
+        total += (1 + sum(x.re * x.re + x.im * x.im for x in inverse_row.values())) / pivots[j]
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +208,13 @@ class AlgState:
 
     Densities must be Hermitian positive semidefinite with total trace one.
     The state is faithful exactly when every block is positive definite.
-    `char_coefficients[i]` holds e_1..e_k of the spectrum of Q_i.
+    `inverse_traces[i]` holds Tr(Q_i^-1), or None when Q_i is singular.
     """
 
     def __init__(self, algebra: FinDimAlgebra, density: Sequence[QCMatrix]):
         if len(density) != algebra.block_sizes.n:
             raise StateFormatError("one density block per matrix block required")
-        blocks, coefficients = [], []
+        blocks, inverse_traces = [], []
         total = Fraction(0)
         for size, q in zip(algebra.block_sizes, density):
             q = [[qc(x) if not isinstance(x, ComplexRational) else x for x in row] for row in q]
@@ -210,19 +222,16 @@ class AlgState:
                 raise StateFormatError(f"density block must be {size}x{size}")
             if not qc_is_hermitian(q):
                 raise StateFormatError("density block is not Hermitian")
-            elementary = qc_char_coefficients(q)
-            if any(c < 0 for c in elementary):
-                raise StateFormatError("density block is not positive semidefinite")
+            inverse_traces.append(_inverse_trace(q))
             for i in range(size):
                 total += q[i][i].re
             blocks.append(q)
-            coefficients.append(elementary)
         if total != 1:
             raise StateFormatError(f"total trace is {total}, expected 1")
         self.algebra = algebra
         self.density = blocks
-        self.char_coefficients = coefficients
-        self.faithful = all(c > 0 for elementary in coefficients for c in elementary)
+        self.inverse_traces = inverse_traces
+        self.faithful = None not in inverse_traces
 
     @classmethod
     def commutative(cls, weights: Sequence) -> "AlgState":
@@ -258,7 +267,7 @@ class AlgState:
 
 
 # ---------------------------------------------------------------------------
-# GNS data and the delta-form test
+# The delta-form test
 # ---------------------------------------------------------------------------
 
 def _require_faithful(state: AlgState) -> None:
@@ -266,79 +275,6 @@ def _require_faithful(state: AlgState) -> None:
         raise NonFaithfulStateError(
             "state is not faithful: some density block is singular"
         )
-
-
-def gns_gram(algebra: FinDimAlgebra, state: AlgState) -> QCMatrix:
-    """Gram matrix <e_ab, e_cd> = state(e_ab* e_cd) on the matrix-unit basis.
-
-    Positive definite whenever the state is faithful; exact rational(-complex)
-    entries for rational density data.
-    """
-    if state.algebra.block_sizes != algebra.block_sizes:
-        raise StateFormatError("state does not live on this algebra")
-    _require_faithful(state)
-    labels = algebra.basis_labels()
-    dim = len(labels)
-    gram = qc_zero_matrix(dim, dim)
-    for x, (bx, a, b) in enumerate(labels):
-        for y, (by, c, d) in enumerate(labels):
-            if bx == by and a == c:
-                # e_ab* e_cd = e_ba e_cd = delta_ac e_bd, and state(e_bd) = Q[d][b]
-                gram[x][y] = state.density[bx][d][b]
-    return gram
-
-
-def _basis_index_maps(algebra: FinDimAlgebra):
-    labels = algebra.basis_labels()
-    index = {lab: i for i, lab in enumerate(labels)}
-    return labels, index
-
-
-def mu_mu_star(algebra: FinDimAlgebra, state: AlgState) -> QCMatrix:
-    """Matrix of mu mu* on the matrix-unit basis of the GNS space.
-
-    mu is the multiplication map on the GNS space of the algebra tensored
-    with itself; its adjoint is taken with respect to the product state.  The
-    result is self-adjoint and positive for the GNS inner product, and the
-    scalar-or-not question is basis independent.
-    """
-    _require_faithful(state)
-    labels, index = _basis_index_maps(algebra)
-    dim = len(labels)
-    gram = gns_gram(algebra, state)
-    reduced, pivots = _row_reduce(dict(enumerate(row + ident)) for row, ident in zip(gram, qc_identity(dim)))
-    if pivots != list(range(dim)):
-        raise ZeroDivisionError("GNS Gram matrix is singular")
-    gram_inv = [[row.get(dim + j, QC_ZERO) for j in range(dim)] for row in reduced]
-    gram_inv_t = [[gram_inv[j][i] for j in range(dim)] for i in range(dim)]
-
-    # product of basis units: e_ab e_cd = delta_bc e_ad within a block
-    def prod(u: int, v: int) -> int | None:
-        bu, a, b = labels[u]
-        bv, c, d = labels[v]
-        if bu != bv or b != c:
-            return None
-        return index[(bu, a, d)]
-
-    out = qc_zero_matrix(dim, dim)
-    for x in range(dim):
-        gcol = [gram[y][x] for y in range(dim)]
-        # Y[u][v] = (mu^H G e_x) at coordinate (u, v); mu has 0/1 entries
-        y_mat = qc_zero_matrix(dim, dim)
-        for u in range(dim):
-            for v in range(dim):
-                p = prod(u, v)
-                if p is not None:
-                    y_mat[u][v] = gcol[p]
-        # apply the inverse product Gram: Z = G^-1 Y (G^-1)^T
-        z = qc_matmul(qc_matmul(gram_inv, y_mat), gram_inv_t)
-        # push forward along mu
-        for u in range(dim):
-            for v in range(dim):
-                p = prod(u, v)
-                if p is not None and not z[u][v].is_zero():
-                    out[p][x] = out[p][x] + z[u][v]
-    return out
 
 
 @dataclass(frozen=True)
@@ -349,9 +285,24 @@ class DeltaFormResult:
 
     @property
     def delta(self) -> float | None:
+        """The float nearest delta = sqrt(delta^2), or None if that overflows.
+
+        An integer square root of delta^2 scaled by 4^e, with at least 64
+        bits and a sticky low bit when inexact, rounds to the same float as
+        the exact root, without passing delta^2 itself through a float.
+        """
         if self.delta_squared is None:
             return None
-        return math.sqrt(float(self.delta_squared))
+        p, q = self.delta_squared.numerator, self.delta_squared.denominator
+        e = max(0, (128 - p.bit_length() + q.bit_length()) // 2 + 1)
+        scaled = (p << 2 * e) // q
+        root = math.isqrt(scaled)
+        if root * root * q != p << 2 * e:
+            root |= 1
+        try:
+            return math.ldexp(float(root), -e)
+        except OverflowError:
+            return None
 
     def delta_exact(self) -> Fraction | None:
         """delta as an exact rational when delta^2 is a perfect square."""
@@ -368,18 +319,14 @@ def is_delta_form(algebra: FinDimAlgebra, state: AlgState) -> DeltaFormResult:
     """Decide whether the state is a delta-form: mu mu* = delta^2 id.
 
     mu mu* acts on block i as the scalar t_i = Tr(Q_i^-1) (Banica 1999),
-    read off the characteristic coefficients as e_{k-1}(Q_i) / e_k(Q_i).
-    The state is a delta-form exactly when every t_i equals t_0, and then
-    delta^2 = t_0.  Otherwise the witness is (i, t_i, t_0) for the first
-    block i that differs.
+    which `AlgState` found by the LDL* pass.  The state is a delta-form
+    exactly when every t_i equals t_0, and then delta^2 = t_0.  Otherwise
+    the witness is (i, t_i, t_0) for the first block i that differs.
     """
     _require_faithful(state)
     if state.algebra.block_sizes != algebra.block_sizes:
         raise StateFormatError("state does not live on this algebra")
-    traces = [
-        (elementary[-2] if len(elementary) > 1 else 1) / elementary[-1]
-        for elementary in state.char_coefficients
-    ]
+    traces = state.inverse_traces
     lam = traces[0]
     for block, t in enumerate(traces):
         if t != lam:

@@ -228,6 +228,55 @@ def test_delta_form_float_rejected(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("digits, delta", [(400, 1e200), (700, None)])
+def test_delta_form_with_huge_delta_squared(capsys, monkeypatch, digits, delta):
+    # delta^2 = 10^n + 1 / (1 - 10^-n) is far beyond the float range; delta
+    # is the float nearest its root, or null when that overflows
+    tiny, nearly_one = f"1e-{digits}", "0." + "9" * digits
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+        {"blocks": [2], "density": [[[tiny, "0"], ["0", nearly_one]]]})))
+    code = main(["delta-form", "--algebra", "-", "--json"])  # returns: no OverflowError escapes
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    results = json.loads(captured.out)["results"]
+    expected = 1 / Fraction(tiny) + 1 / Fraction(nearly_one)
+    assert results["is_delta_form"] is True
+    assert results["delta_squared"] == f"{expected.numerator}/{expected.denominator}"
+    assert results["delta"] == delta
+    assert results["delta_exact"] is None
+
+
+def test_delta_form_with_huge_witness_is_rejected(capsys, monkeypatch):
+    tiny, nearly_one = "1e-400", "0." + "9" * 400
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+        {"blocks": [1, 1], "density": [[[tiny]], [[nearly_one]]]})))
+    code = main(["delta-form", "--algebra", "-", "--json"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    results = json.loads(captured.out)["results"]
+    assert results["is_delta_form"] is False
+    assert results["delta_squared"] is None and results["delta"] is None
+    assert results["witness"] == {"block": 1, "observed": str(1 / Fraction(nearly_one)), "expected": str(10 ** 400)}
+
+
+def test_dense_delta_form_within_budget(capsys, monkeypatch):
+    # one dense k = 30 block (A A* + I) / tr over Q(i): about 25 s of CPU on
+    # a shared 2-vCPU host by Faddeev-LeVerrier, about 0.4 s by LDL*
+    k = 30
+    rng = random.Random(30)
+    a = [[complex(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(k)] for _ in range(k)]
+    q = [[sum(a[i][p] * a[j][p].conjugate() for p in range(k)) + (i == j) for j in range(k)] for i in range(k)]
+    trace = sum(int(q[i][i].real) for i in range(k))
+    density = [[[f"{int(z.real)}/{trace}", f"{int(z.imag)}/{trace}"] for z in row] for row in q]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"blocks": [k], "density": [density]})))
+    start = time.process_time()
+    code, payload = run_json(capsys, "delta-form", "--algebra", "-")
+    elapsed = time.process_time() - start
+    assert code == 0
+    assert payload["results"]["is_delta_form"] is True
+    assert elapsed < 3.0
+
+
 def test_twisted_group_and_extract_roundtrip(capsys, tmp_path):
     code, payload = run_json(capsys, "twisted-group", "--group", "C2xC2", "--cocycle", "pauli")
     assert code == 0

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,19 +8,24 @@ from qautk.exact_linalg import _row_reduce
 from qautk.findim import (
     AlgState,
     ComplexRational,
+    DeltaFormResult,
     FinDimAlgebra,
     NonFaithfulStateError,
     QC_ZERO,
     StateFormatError,
-    gns_gram,
     is_delta_form,
-    mu_mu_star,
     qc,
+    qc_is_hermitian,
+)
+
+from findim_oracle import (
+    gns_gram,
+    mu_mu_star,
+    qc_char_coefficients,
     qc_conj_transpose,
     qc_identity,
-    qc_char_coefficients,
-    qc_is_hermitian,
     qc_matmul,
+    reference_delta_form,
 )
 
 
@@ -260,12 +266,14 @@ def test_block_rule_against_mu_mu_star():
     assert rotated >= 20
 
 
-def test_is_delta_form_reaches_neither_oracle(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("is_delta_form must not build the GNS operator")
+def test_is_delta_form_reaches_neither_oracle():
+    # the second routes live in tests/findim_oracle.py only
+    import qautk
+    import qautk.findim
 
-    monkeypatch.setattr("qautk.findim.mu_mu_star", forbidden)
-    monkeypatch.setattr("qautk.findim.gns_gram", forbidden)
+    for name in ("mu_mu_star", "gns_gram", "qc_char_coefficients", "qc_matmul", "_basis_index_maps"):
+        assert not hasattr(qautk.findim, name), name
+        assert not hasattr(qautk, name), name
     alg, state = _random_state(random.Random(3), accept=True)
     assert is_delta_form(alg, state).is_delta_form
     res = is_delta_form(FinDimAlgebra.of(1, 1), AlgState.commutative([Fraction(1, 3), Fraction(2, 3)]))
@@ -291,3 +299,242 @@ def test_canonical_state_is_delta_form():
             assert q == [[qc(Fraction(k, alg.dim)) if i == j else QC_ZERO for j in range(k)] for i in range(k)]
         res = is_delta_form(alg, state)
         assert res.is_delta_form and res.delta_squared == sum(k * k for k in sizes)
+
+
+# ---------------------------------------------------------------------------
+# The LDL* route against Faddeev-LeVerrier and mu_mu_star
+# ---------------------------------------------------------------------------
+
+def _outcome(route, alg, density):
+    """(decision, delta^2, witness), or (exception type, message)."""
+    try:
+        res = route(alg, density)
+    except (StateFormatError, NonFaithfulStateError) as exc:
+        return type(exc), str(exc)
+    return res.is_delta_form, res.delta_squared, res.witness
+
+
+def _ldl_route(alg, density):
+    return is_delta_form(alg, AlgState(alg, density))
+
+
+def _assert_routes_agree(alg, density):
+    """The LDL* route gives the outcome of Faddeev-LeVerrier, and on small
+    algebras mu_mu_star is scalar exactly when it accepts."""
+    got = _outcome(_ldl_route, alg, density)
+    assert got == _outcome(reference_delta_form, alg, density)
+    if alg.dim <= 14 and isinstance(got[0], bool):
+        p = mu_mu_star(alg, AlgState(alg, density))
+        lam = p[0][0]
+        assert got[0] == all(p[x][y] == (lam if x == y else QC_ZERO) for x in range(alg.dim) for y in range(alg.dim))
+        if got[0]:
+            assert qc(got[1]) == lam
+        else:
+            block, observed, expected = got[2]
+            assert expected == lam
+            assert all(p[x][x] == observed for x, (b, _, _) in enumerate(alg.basis_labels()) if b == block)
+    return got
+
+
+def _gaussian(rng, rows, cols, bound=3):
+    return [[qc(rng.randint(-bound, bound), rng.randint(-bound, bound)) for _ in range(cols)] for _ in range(rows)]
+
+
+def _unit_lower(rng, k):
+    lower = _gaussian(rng, k, k)
+    return [[qc(1) if i == j else (x if j < i else QC_ZERO) for j, x in enumerate(row)] for i, row in enumerate(lower)]
+
+
+def _congruent(rng, middle):
+    """L B L* for a seeded unit lower triangular L: its LDL* pivots and
+    Schur complements are those of B."""
+    lower = _unit_lower(rng, len(middle))
+    return qc_matmul(qc_matmul(lower, middle), qc_conj_transpose(lower))
+
+
+def _diagonal(values):
+    return [[qc(v) if i == j else QC_ZERO for j in range(len(values))] for i, v in enumerate(values)]
+
+
+def _scaled(q, c):
+    return [[x * qc(c) for x in row] for row in q]
+
+
+def _oracle_inverse_trace(q):
+    e = qc_char_coefficients(q)
+    return (e[-2] if len(e) > 1 else 1) / e[-1]
+
+
+def _normalized(blocks, equalize=False):
+    """The algebra and the density from positive semidefinite blocks with
+    total trace one; when `equalize`, block i is first scaled by its
+    Tr(Q_i^-1) from the oracle, so that every block has the same value."""
+    if equalize:
+        blocks = [_scaled(q, _oracle_inverse_trace(q)) for q in blocks]
+    total = sum(q[i][i].re for q in blocks for i in range(len(q)))
+    return FinDimAlgebra.of(*(len(q) for q in blocks)), [_scaled(q, 1 / total) for q in blocks]
+
+
+def test_ldl_route_matches_faddeev_leverrier_on_rotated_states():
+    # test_block_rule_against_mu_mu_star checks mu_mu_star on the same states
+    rng = random.Random(11)
+    decisions = set()
+    for case in range(40):
+        alg, state = _random_state(rng, accept=case % 2 == 0)
+        got = _outcome(_ldl_route, alg, state.density)
+        assert got == _outcome(reference_delta_form, alg, state.density)
+        decisions.add(got[0])
+    assert decisions == {True, False}
+
+
+def test_ldl_route_matches_oracles_on_dense_complex_blocks():
+    rng = random.Random(20)
+    decisions, complex_cases = set(), 0
+    for case in range(24):
+        small = case % 3 == 0  # small enough for mu_mu_star
+        sizes = [rng.randint(1, 3 if small else 8) for _ in range(rng.randint(1, 2 if small else 3))]
+        while small and sum(k * k for k in sizes) > 14:
+            sizes.pop()
+        blocks = [qc_matmul(a, qc_conj_transpose(a)) for a in (_gaussian(rng, k, k) for k in sizes)]
+        blocks = [[[x + qc(i == j) for j, x in enumerate(row)] for i, row in enumerate(q)] for q in blocks]
+        alg, density = _normalized(blocks, equalize=case % 2 == 0)
+        complex_cases += any(x.im for q in density for row in q for x in row)
+        decisions.add(_assert_routes_agree(alg, density)[0])
+    assert decisions == {True, False}
+    assert complex_cases >= 20
+
+
+def test_ldl_route_matches_oracles_on_one_by_one_and_zero_blocks():
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    cases = [
+        ([1], [[[1]]]),
+        ([1, 1, 1], [[[third]], [[third]], [[third]]]),
+        ([1, 1], [[[third]], [[2 * third]]]),
+        ([1, 1], [[[0]], [[1]]]),
+        ([1, 1], [[[-1]], [[2]]]),
+        ([2, 1], [[[0, 0], [0, 0]], [[1]]]),
+        ([1, 2], [[[1]], [[0, 0], [0, 0]]]),
+        ([2, 1], [[[half, 0], [0, 0]], [[half]]]),
+        ([1, 2], [[[half]], [[0, 0], [0, 0]]]),
+    ]
+    outcomes = []
+    for sizes, density in cases:
+        outcomes.append(_assert_routes_agree(FinDimAlgebra.of(*sizes), [[[qc(x) for x in row] for row in q] for q in density]))
+    assert outcomes[0] == (True, 1, None)
+    assert outcomes[3][0] is NonFaithfulStateError and outcomes[5][0] is NonFaithfulStateError
+    assert outcomes[4] == (StateFormatError, "density block is not positive semidefinite")
+    assert outcomes[8] == (StateFormatError, "total trace is 1/2, expected 1")
+
+
+def test_ldl_route_matches_oracles_on_indefinite_blocks():
+    # the LDL* pivots of L D L* are D: one negative pivot at the start, in
+    # the middle or at the end, behind a valid first block
+    rng = random.Random(21)
+    for k in (1, 3, 5, 8):
+        for j in sorted({0, k // 2, k - 1}):
+            pivots = [rng.randint(1, 5) for _ in range(k)]
+            pivots[j] = -rng.randint(1, 5)
+            q = _congruent(rng, _diagonal(pivots))
+            alg = FinDimAlgebra.of(2, k)
+            density = [_diagonal([Fraction(1, 4), Fraction(1, 4)]), q]
+            assert _assert_routes_agree(alg, density) == (StateFormatError, "density block is not positive semidefinite")
+            # an indefinite first block is reported before a non-Hermitian second one
+            skew = [[qc(1), qc(1)], [QC_ZERO, qc(1)]]
+            assert _assert_routes_agree(FinDimAlgebra.of(k, 2), [q, skew])[1] == "density block is not positive semidefinite"
+
+
+def test_ldl_route_matches_oracles_on_singular_semidefinite_blocks():
+    rng = random.Random(22)
+    for case in range(12):
+        k = rng.randint(2, 7)
+        if case % 2:
+            a = _gaussian(rng, k, rng.randint(1, k - 1))  # rank-deficient A A*
+            q = qc_matmul(a, qc_conj_transpose(a))
+        else:
+            pivots = [rng.randint(1, 5) for _ in range(k)]
+            pivots[rng.randrange(k)] = 0  # a zero pivot whose column is zero
+            q = _congruent(rng, _diagonal(pivots))
+        other = _gaussian(rng, 2, 2)
+        alg, density = _normalized([qc_matmul(other, qc_conj_transpose(other)), q])
+        state = AlgState(alg, density)
+        assert not state.faithful and state.inverse_traces[1] is None
+        assert _assert_routes_agree(alg, density) == (
+            NonFaithfulStateError, "state is not faithful: some density block is singular")
+        # the total trace is checked before faithfulness
+        doubled = [_scaled(q, 2) for q in density]
+        assert _assert_routes_agree(alg, doubled) == (StateFormatError, "total trace is 2, expected 1")
+
+
+def test_ldl_route_matches_oracles_on_zero_pivot_with_nonzero_column():
+    # [[0, 1], [1, 1]] has determinant -1; set between identity blocks and
+    # moved by a unit lower triangular congruence it is the Schur complement
+    # the pass meets at pivot j = before
+    rng = random.Random(23)
+    for before, after in [(0, 0), (0, 3), (2, 0), (2, 3), (5, 1)]:
+        k = before + 2 + after
+        middle = _diagonal([1] * k)
+        middle[before][before] = QC_ZERO
+        middle[before][before + 1] = middle[before + 1][before] = qc(1)
+        q = _congruent(rng, middle)
+        assert _assert_routes_agree(FinDimAlgebra.of(k), [q]) == (
+            StateFormatError, "density block is not positive semidefinite")
+
+
+def test_delta_form_makes_at_most_k_cubed_products_on_a_dense_block(monkeypatch):
+    # Faddeev-LeVerrier made k^4 = 65,536 complex products on this block;
+    # the rational products are counted too, at four per complex product
+    k = 16
+    a = _gaussian(random.Random(16), k, k)
+    q = qc_matmul(a, qc_conj_transpose(a))
+    alg, density = _normalized([[[x + qc(i == j) for j, x in enumerate(row)] for i, row in enumerate(q)]])
+    counts = {ComplexRational: 0, Fraction: 0}
+
+    def counting(cls):
+        multiply = cls.__mul__
+
+        def spy(self, other):
+            counts[cls] += 1
+            return multiply(self, other)
+
+        return spy
+
+    for cls in counts:
+        monkeypatch.setattr(cls, "__mul__", counting(cls))
+    res = is_delta_form(alg, AlgState(alg, density))
+    monkeypatch.undo()
+    assert res.is_delta_form
+    assert 0 < counts[ComplexRational] <= k ** 3
+    assert counts[Fraction] <= 4 * k ** 3
+
+
+def _is_nearest_float(f: float, x: Fraction) -> bool:
+    """f is a float nearest sqrt(x): x lies between the squared midpoints to
+    the neighbouring floats."""
+    below = (Fraction(f) + Fraction(math.nextafter(f, 0))) / 2
+    above = (Fraction(f) + Fraction(math.nextafter(f, math.inf))) / 2
+    return below * below <= x <= above * above
+
+
+def test_delta_is_the_nearest_float_without_passing_through_float():
+    rng = random.Random(24)
+    values = [Fraction(4), Fraction(9, 4), Fraction(3), Fraction(10) ** 400, Fraction(10) ** 400 + 1]
+    values += [Fraction(rng.getrandbits(rng.randint(1, 2000)) + 1, rng.getrandbits(rng.randint(1, 2000)) + 1)
+               for _ in range(300)]
+    for x in values:
+        delta = DeltaFormResult(True, x, None).delta
+        if x < Fraction(2) ** 2040:
+            assert _is_nearest_float(delta, x), x
+        if x.denominator == 1 and x.numerator < 2 ** 53:
+            assert delta == math.sqrt(x)
+    assert DeltaFormResult(True, Fraction(10) ** 400, None).delta == 1e200
+    # just above and just below the midpoint 2^53 + 1 between two floats
+    assert DeltaFormResult(True, Fraction((2 ** 53 + 1) ** 2 + 1), None).delta == 2.0 ** 53 + 2
+    assert DeltaFormResult(True, Fraction((2 ** 53 + 1) ** 2 - 1), None).delta == 2.0 ** 53
+    assert DeltaFormResult(True, Fraction(10) ** 700, None).delta is None
+    assert DeltaFormResult(False, None, (1, qc(1), qc(2))).delta is None
+    # at the top of the float range: the midpoint to the next binade rounds to even, beyond the range
+    top = Fraction(math.nextafter(math.inf, 0))
+    midpoint = top + Fraction(2) ** 970
+    assert DeltaFormResult(True, top * top, None).delta == float(top)
+    assert DeltaFormResult(True, midpoint * midpoint - 1, None).delta == float(top)
+    assert DeltaFormResult(True, midpoint * midpoint, None).delta is None
