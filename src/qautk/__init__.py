@@ -11,8 +11,6 @@ from .exact_linalg import (
     HermiteDecomposition,
     IntMatrix,
     SmithDecomposition,
-    cokernel,
-    fg_direct_sum,
     hermite_normal_form,
     invariant_factors,
     kernel_basis,
@@ -20,7 +18,7 @@ from .exact_linalg import (
 )
 from .findim import AlgState, DeltaFormResult, FinDimAlgebra, is_delta_form
 from .ktheory import KTheoryResult, boundary_matrix, closed_form, k_theory, verify_theorem
-from .magic import MagicMatrix, evaluation_matrix, generator_rank, permutation_to_magic
+from .magic import generator_rank
 from .repring import (
     IrrepSum,
     RepRingElement,
@@ -59,8 +57,6 @@ __all__ = [
     "hermite_normal_form",
     "invariant_factors",
     "kernel_basis",
-    "cokernel",
-    "fg_direct_sum",
     "Spin",
     "IrrepSum",
     "RepRingElement",
@@ -90,8 +86,5 @@ __all__ = [
     "extract_torsion_data",
     "block_decomposition",
     "regular_class_count",
-    "MagicMatrix",
-    "permutation_to_magic",
-    "evaluation_matrix",
     "generator_rank",
 ]

@@ -2,11 +2,12 @@
 
 Exit codes: 0 on success (and on verified checks), 1 when a verification
 fails (theorem mismatch, non-exact complex, rank mismatch, rejected
-delta-form, block count mismatch, a Smith certificate that fails or two
-Smith routes that disagree), 2 on malformed input.  Reports go to standard
-output as JSON when piped or with --json, and as a readable table on a
-terminal or with --table.  All numbers in JSON are exact: integers beyond
-2^53 become decimal strings and rationals are "p/q" strings.
+delta-form, block count mismatch, a Smith, boundary or magic-minor
+certificate that fails, or two Smith routes that disagree), 2 on malformed
+input.  Reports go to standard output as JSON when piped or with --json,
+and as a readable table on a terminal or with --table.  All numbers in JSON
+are exact: integers beyond 2^53 become decimal strings and rationals are
+"p/q" strings.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from fractions import Fraction
 
 from . import __version__
 from .dims import DimVector, random_dim_vectors
-from .exact_linalg import FgAbelianGroup, IntMatrix, hermite_normal_form, invariant_factors, smith_normal_form
+from .exact_linalg import CertificateError, FgAbelianGroup, IntMatrix, hermite_normal_form, invariant_factors, smith_normal_form
 from .findim import AlgState, ComplexRational, FinDimAlgebra, is_delta_form
-from .ktheory import closed_form, k_theory, verify_theorem
+from .ktheory import boundary_matrix, closed_form, k_theory, verify_theorem
 from .magic import generator_rank_report
 from .resolution import TEST_ALGEBRA, TEST_OBJECTS, TEST_TRIVIAL, check_exactness, derive_t_action
 from .torsion import (
@@ -157,32 +158,21 @@ def _read_json(path: str):
 # Subcommand handlers: each returns (results, warnings, exit_code)
 # ---------------------------------------------------------------------------
 
+def _k_groups(k0: FgAbelianGroup, k1: FgAbelianGroup, **extra) -> dict:
+    return {"K0": k0, "K1": k1, "K0_describe": k0.describe(), "K1_describe": k1.describe(), **extra}
+
+
 def _cmd_ktheory(args):
     dims = DimVector.parse(args.dims)
     result = k_theory(dims)
-    results = {
-        "K0": result.k0,
-        "K1": result.k1,
-        "K0_describe": result.k0.describe(),
-        "K1_describe": result.k1.describe(),
-        "kernel_generator": list(result.kernel_generator),
-        "d": dims.gcd,
-    }
+    results = _k_groups(result.k0, result.k1, kernel_generator=list(result.kernel_generator), d=dims.gcd)
     return results, list(result.warnings), 0
 
 
 def _cmd_closed_form(args):
     dims = DimVector.parse(args.dims)
-    k0, k1 = closed_form(dims)
     warn = dims.scope_warning()
-    results = {
-        "K0": k0,
-        "K1": k1,
-        "K0_describe": k0.describe(),
-        "K1_describe": k1.describe(),
-        "d": dims.gcd,
-    }
-    return results, [warn] if warn else [], 0
+    return _k_groups(*closed_form(dims), d=dims.gcd), [warn] if warn else [], 0
 
 
 def _cmd_verify(args):
@@ -209,7 +199,7 @@ def _cmd_verify(args):
 
 def _cmd_boundary(args):
     dims = DimVector.parse(args.dims)
-    matrix = k_theory(dims).boundary
+    matrix = boundary_matrix(dims)
     results = {"matrix": matrix, "text": matrix.to_text()}
     return results, [], 0
 
@@ -460,7 +450,7 @@ def _cmd_magic_rank(args):
         raise InputError(
             f"--n {args.n} exceeds --max-n {args.max_n} ({args.n}! rows); raise --max-n to allow it"
         )
-    report = generator_rank_report(args.n, max_n=args.max_n)
+    report = generator_rank_report(args.n)
     match = (
         report.ranks_agree
         and report.full_saturated
@@ -606,6 +596,8 @@ def main(argv=None) -> int:
     except ValueError as exc:  # InputError and every library input error
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except CertificateError as exc:  # a boundary or magic-minor certificate
+        results, warnings, code = {}, [f"CERTIFICATE FAILED: {exc}"], 1
     report = RunReport(
         command=args.command,
         inputs=_echo_inputs(args),

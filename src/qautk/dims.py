@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -27,11 +28,13 @@ class DimVector:
 
     @classmethod
     def parse(cls, text: str) -> "DimVector":
-        try:
-            sizes = tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
-        except ValueError:
-            raise ValueError(f"cannot parse dimension vector from {text!r}") from None
-        return cls(sizes)
+        """From comma fields, each a positive decimal integer in ASCII
+        digits without sign or leading zero, spaces around it allowed."""
+        fields = [tok.strip(" ") for tok in text.split(",")]
+        for tok in fields:
+            if not re.fullmatch(r"[1-9][0-9]*", tok):
+                raise ValueError(f"invalid block size {tok!r} in dimension vector {text!r}: expected a positive integer")
+        return cls(tuple(int(tok) for tok in fields))
 
     @property
     def n(self) -> int:
@@ -80,20 +83,3 @@ def random_dim_vectors(
         out.append(DimVector(tuple(rng.randint(1, max_size) for _ in range(n))))
     return out
 
-
-def all_dim_vectors(max_blocks: int, max_size: int) -> list[DimVector]:
-    """Every dimension vector with n <= max_blocks and k_i <= max_size."""
-    out: list[DimVector] = []
-
-    def extend(prefix: list[int]):
-        if prefix:
-            out.append(DimVector(tuple(prefix)))
-        if len(prefix) == max_blocks:
-            return
-        for k in range(1, max_size + 1):
-            prefix.append(k)
-            extend(prefix)
-            prefix.pop()
-
-    extend([])
-    return out

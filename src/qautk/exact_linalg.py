@@ -1,9 +1,8 @@
 """Exact linear algebra.
 
-Integer matrices, their Smith and row Hermite normal forms, integer kernels
-and cokernels, and finitely generated abelian groups in invariant-factor
-form, all on Python's arbitrary-precision integers, so no operation can
-overflow.
+Integer matrices, their Smith and row Hermite normal forms, integer
+kernels, and finitely generated abelian groups in invariant-factor form, all
+on Python's arbitrary-precision integers, so no operation can overflow.
 
 ``IntMatrix`` stores only sparse rows (a column maps to its nonzero
 entry), since the matrices served are mostly zeros: a boundary row has 2
@@ -28,7 +27,6 @@ field the library uses: rationals, Gaussian rationals and cyclotomic fields.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, Sequence
@@ -36,6 +34,11 @@ from typing import Iterable, Mapping, Sequence
 
 class MatrixFormatError(ValueError):
     """Malformed matrix data (shape mismatch or unparsable text)."""
+
+
+class CertificateError(RuntimeError):
+    """A certificate the library built failed its check; the message names
+    the failing step and a witness."""
 
 
 # ---------------------------------------------------------------------------
@@ -672,13 +675,3 @@ class FgAbelianGroup:
             i = j
         return " + ".join(parts) if parts else "0"
 
-
-def fg_direct_sum(G: FgAbelianGroup, H: FgAbelianGroup) -> FgAbelianGroup:
-    return FgAbelianGroup.from_parts(G.free_rank + H.free_rank, G.torsion + H.torsion)
-
-
-def cokernel(A: IntMatrix) -> FgAbelianGroup:
-    """ZZ^rows / (column span of A), in invariant-factor form."""
-    factors = invariant_factors(A)
-    r = sum(1 for d in factors if d != 0)
-    return FgAbelianGroup(A.rows - r, tuple(d for d in factors if d > 1))

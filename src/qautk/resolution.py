@@ -76,9 +76,6 @@ class EvaluationMap:
             if len(img) != r:
                 raise ValueError("slot image has wrong length")
 
-    def t_matrix(self) -> IntMatrix:
-        return IntMatrix.from_rows(self.t_action)
-
     def t_power_images(self, slot: int, max_degree: int) -> list[tuple[int, ...]]:
         """Images of the slot's basis elements of degree 0..max_degree."""
         out = [tuple(self.slot_images[slot])]

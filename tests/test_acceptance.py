@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
-from qautk.dims import DimVector, all_dim_vectors, random_dim_vectors
+from qautk.dims import DimVector, random_dim_vectors
 from qautk.exact_linalg import FgAbelianGroup, IntMatrix, smith_normal_form
 from qautk.findim import AlgState, FinDimAlgebra, is_delta_form, qc
 from qautk.ktheory import closed_form, k_theory
@@ -27,6 +27,24 @@ from qautk.torsion import (
 
 SWEEP_SAMPLES = 200
 SWEEP_SEED = 0
+
+
+def all_dim_vectors(max_blocks: int, max_size: int) -> list[DimVector]:
+    """Every dimension vector with n <= max_blocks and k_i <= max_size."""
+    out: list[DimVector] = []
+
+    def extend(prefix: list[int]):
+        if prefix:
+            out.append(DimVector(tuple(prefix)))
+        if len(prefix) == max_blocks:
+            return
+        for k in range(1, max_size + 1):
+            prefix.append(k)
+            extend(prefix)
+            prefix.pop()
+
+    extend([])
+    return out
 
 
 def _report(criterion: str, ok: bool, detail: str = ""):

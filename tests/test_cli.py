@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import qautk
-from qautk import cli, exact_linalg, resolution, torsion
+from qautk import cli, exact_linalg, ktheory, magic, resolution, torsion
 from qautk.cli import main
 from qautk.cyclotomic import Cyclotomic
 
@@ -754,3 +754,94 @@ def test_integer_path_builds_no_dense_rows(capsys, monkeypatch):
         assert code == 0, argv
     assert dense == []
     assert len(seen) == 2
+
+
+def _corrupt_boundary(monkeypatch):
+    build = ktheory.boundary_matrix
+
+    def corrupted(k):  # one wrong entry: A[0][0] = k_1 + 1
+        rows = build(k).to_lists()
+        rows[0][0] += 1
+        return qautk.IntMatrix.from_rows(rows)
+
+    monkeypatch.setattr(ktheory, "boundary_matrix", corrupted)
+
+
+def _corrupt_bezout(monkeypatch):
+    bezout = ktheory._bezout
+    monkeypatch.setattr(ktheory, "_bezout", lambda sizes: [bezout(sizes)[0] - 1] + bezout(sizes)[1:])
+
+
+def _corrupt_minor(monkeypatch):
+    minor = magic._minor
+
+    def doubled(n):  # determinant ±2
+        rows = minor(n).to_lists()
+        return qautk.IntMatrix.from_rows([[2 * x for x in rows[0]]] + rows[1:])
+
+    monkeypatch.setattr(magic, "_minor", doubled)
+
+
+@pytest.mark.parametrize("corrupt, argv, warning", [
+    (_corrupt_boundary, ["verify", "--dims", "2,3"], "boundary certificate step 2 (A' v = 0): (A' v)[0] = 2"),
+    (_corrupt_boundary, ["ktheory", "--dims", "2,3"], "boundary certificate step 2 (A' v = 0): (A' v)[0] = 2"),
+    (_corrupt_boundary, ["verify", "--dims", "4,6"], "boundary certificate step 1 (A = d A'): d = 2 does not divide A[0][0] = 5"),
+    (_corrupt_bezout, ["verify", "--dims", "2,3"], "boundary certificate step 3 (Y A' = M): entry (0, 0) is -1, expected 1"),
+    (_corrupt_bezout, ["ktheory", "--dims", "2,3"], "boundary certificate step 3 (Y A' = M): entry (0, 0) is -1, expected 1"),
+    (_corrupt_minor, ["magic-rank", "--n", "4"], "the (n-1)^2+1 magic minor is not unimodular: invariant factors [1, 1, 1, 1, 1, 1, 1, 1, 1, 2]"),
+])
+def test_failed_certificate_exits_1_with_the_step(capsys, monkeypatch, corrupt, argv, warning):
+    corrupt(monkeypatch)
+    code, payload = run_json(capsys, *argv)
+    assert code == 1
+    assert payload["warnings"] == [f"CERTIFICATE FAILED: {warning}"]
+    assert payload["results"] == {}
+
+
+def test_boundary_builds_only_the_matrix(capsys, monkeypatch):
+    def refuse(dims):
+        raise AssertionError("boundary must not run k_theory")
+
+    monkeypatch.setattr(cli, "k_theory", refuse)
+    code, out = run(capsys, "boundary", "--dims", "2,4", "--json")
+    assert code == 0
+    assert json.loads(out)["results"]["text"] == "5 4\n2 0 -2 0\n4 0 0 -2\n0 2 -4 0\n0 4 0 -4\n-2 -4 2 4\n"
+
+
+@pytest.mark.parametrize("dims, token", [
+    ("1,,2", "''"), ("1_0,3", "'1_0'"), ("3,٣", "'٣'"), ("+3", "'+3'"), ("-3", "'-3'"),
+    ("03", "'03'"), ("1 2", "'1 2'"), ("", "''"), ("2,", "''"), ("2,3\t", "'3\\t'"), ("²", "'²'"),
+])
+@pytest.mark.parametrize("command", ["verify", "ktheory", "closed-form", "boundary", "resolution-check"])
+def test_dims_grammar_is_strict(capsys, command, dims, token):
+    assert main([command, "--dims", dims, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: invalid block size {token} in dimension vector")
+
+
+def test_dims_fields_may_carry_spaces(capsys):
+    code, payload = run_json(capsys, "verify", "--dims", " 2 , 4 ")
+    assert code == 0
+    assert payload["results"]["summary"] == "match: Z^2 + Z_2^3 / Z"
+
+
+def test_magic_rank_n_20_within_budget(capsys):
+    start = time.process_time()
+    code, payload = run_json(capsys, "magic-rank", "--n", "20", "--max-n", "20")
+    elapsed = time.process_time() - start
+    assert code == 0
+    assert payload["results"]["full_rank"] == payload["results"]["expected_rank"] == 362
+    assert elapsed < 0.1
+
+
+def test_verify_n_320_within_budget(capsys):
+    # the Hermite passes took 4.8-7.8 s here, the certificate about 0.25 s
+    dims = ",".join(str(6 * (1 + i % 12)) for i in range(320))
+    start = time.process_time()
+    code, payload = run_json(capsys, "verify", "--dims", dims)
+    elapsed = time.process_time() - start
+    assert code == 0
+    assert payload["results"]["summary"] == "match: Z^101762 + Z_6^639 / Z"
+    assert elapsed < 0.5

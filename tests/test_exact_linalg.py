@@ -12,8 +12,6 @@ from qautk.exact_linalg import (
     IntMatrix,
     LatticeBasis,
     MatrixFormatError,
-    cokernel,
-    fg_direct_sum,
     hermite_normal_form,
     invariant_factors,
     kernel_basis,
@@ -24,6 +22,13 @@ from qautk.cyclotomic import Cyclotomic, cyclotomic_polynomial
 from qautk.dims import DimVector
 from qautk.findim import QC_ZERO, qc
 from qautk.ktheory import boundary_matrix
+
+from ktheory_oracle import cokernel
+
+
+def fg_direct_sum(G: FgAbelianGroup, H: FgAbelianGroup) -> FgAbelianGroup:
+    """G (+) H, canonicalized by ``from_parts``."""
+    return FgAbelianGroup.from_parts(G.free_rank + H.free_rank, G.torsion + H.torsion)
 
 
 def random_matrix(rng, max_dim=6, lo=-9, hi=9):

@@ -1,9 +1,20 @@
 import math
 import random
 
+import pytest
+
+from qautk import exact_linalg, ktheory
 from qautk.dims import DimVector, random_dim_vectors
-from qautk.exact_linalg import FgAbelianGroup
+from qautk.exact_linalg import CertificateError, FgAbelianGroup, IntMatrix
 from qautk.ktheory import boundary_matrix, closed_form, k_theory, verify_theorem
+
+from ktheory_oracle import hermite_k_theory
+
+# the verify-wide inputs on which min-pivot Smith once ran for minutes
+WIDE_INPUTS = (
+    DimVector.parse("1532,8680,8357,4888,2392,2099"),
+    DimVector.parse("2,3,8,12,3,3,9,12,3,5,2,4,11,5,8,8,9,8,10,12,4,5,11,11,6,11,8,8,3,8,5"),
+)
 
 
 def test_boundary_single_block():
@@ -133,3 +144,83 @@ def test_sparse_boundary_matches_dense_oracle():
         b = boundary_matrix(k)
         assert (b.rows, b.cols) == (rows, cols)
         assert b.entries == tuple(entries)
+
+
+def assert_matches_hermite_route(dims):
+    k0, k1, kernel = hermite_k_theory(dims)
+    res = k_theory(dims)
+    assert (res.k0, res.k1, [res.kernel_generator]) == (k0, k1, kernel), dims
+
+
+def test_certificate_matches_hermite_route_for_every_n_up_to_40():
+    rng = random.Random(41)
+    for n in range(1, 41):
+        for scale in (1, rng.choice((2, 3, 6))):
+            top = rng.choice((12, 10**4))
+            assert_matches_hermite_route(DimVector(tuple(scale * rng.randint(1, top) for _ in range(n))))
+
+
+@pytest.mark.parametrize("dims", WIDE_INPUTS, ids=str)
+def test_certificate_matches_hermite_route_on_wide_inputs(dims):
+    assert_matches_hermite_route(dims)
+
+
+def test_k_theory_runs_no_hermite_pass(monkeypatch):
+    # a cost guard: the certificate is checked by O(n^2) products alone
+    calls = []
+
+    def spy(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("_hermite_pass", "_hnf_engine", "kernel_basis", "invariant_factors", "smith_normal_form"):
+        spy(exact_linalg, name)
+    spy(ktheory, "kernel_basis")
+    assert not hasattr(ktheory, "cokernel")
+    for dims in WIDE_INPUTS + (DimVector.of(1), DimVector.of(6, 6, 6), DimVector(tuple(range(1, 41)))):
+        k_theory(dims)
+    assert calls == []
+    hermite_k_theory(DimVector.of(2, 4))  # the spies do see Hermite passes
+    assert {"_hermite_pass", "_hnf_engine"} <= set(calls)
+
+
+def corrupt_boundary(monkeypatch, row, col, delta):
+    build = ktheory.boundary_matrix
+
+    def corrupted(k):
+        rows = build(k).to_lists()
+        rows[row][col] += delta
+        return IntMatrix.from_rows(rows)
+
+    monkeypatch.setattr(ktheory, "boundary_matrix", corrupted)
+
+
+@pytest.mark.parametrize("row, col, delta, step", [
+    (0, 0, 1, "step 1 (A = d A'): d = 2 does not divide A[0][0] = 3"),
+    (0, 0, 2, "step 2 (A' v = 0): (A' v)[0] = 1"),
+    (5, 3, 2, "step 2 (A' v = 0): (A' v)[5] = 1"),
+])
+def test_corrupted_boundary_is_refused(monkeypatch, row, col, delta, step):
+    corrupt_boundary(monkeypatch, row, col, delta)
+    with pytest.raises(CertificateError) as info:
+        k_theory(DimVector.of(2, 4, 6))
+    assert str(info.value) == f"boundary certificate {step}"
+
+
+def test_wrong_bezout_vector_is_refused(monkeypatch):
+    bezout = ktheory._bezout
+    monkeypatch.setattr(ktheory, "_bezout", lambda sizes: [bezout(sizes)[0] + 1] + bezout(sizes)[1:])
+    with pytest.raises(CertificateError, match=r"step 3 \(Y A' = M\): entry \(0, 0\) is 2, expected 1"):
+        k_theory(DimVector.of(1, 2, 3))
+
+
+def test_bezout_vector():
+    rng = random.Random(43)
+    for _ in range(200):
+        sizes = [rng.randint(1, 10**4) for _ in range(rng.randint(1, 12))]
+        beta = ktheory._bezout(sizes)
+        assert sum(b * k for b, k in zip(beta, sizes)) == math.gcd(*sizes)

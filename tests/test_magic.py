@@ -1,17 +1,20 @@
+import inspect
 import itertools
-import math
 
 import pytest
 
 from qautk import magic
-from qautk.exact_linalg import invariant_factors
-from qautk.magic import (
+from qautk.cli import main
+from qautk.exact_linalg import CertificateError, IntMatrix, invariant_factors
+from qautk.magic import generator_rank, generator_rank_report
+
+from magic_oracle import (
     MagicMatrix,
     PermutationError,
     evaluation_matrix,
-    generator_rank,
-    generator_rank_report,
+    factorial_rank_report,
     permutation_to_magic,
+    restricted,
 )
 
 
@@ -61,10 +64,13 @@ def test_evaluation_matrix_shapes():
     assert (m4.rows, m4.cols) == (24, 17)
 
 
-def test_evaluation_matrix_cap():
-    with pytest.raises(ValueError):
-        evaluation_matrix(8)
-    assert evaluation_matrix(4, max_n=None).rows == 24
+def test_evaluation_matrix_cap(capsys):
+    # the report no longer builds the n! rows, so it takes no cap and
+    # answers n = 8 and beyond; the CLI keeps --max-n, default 7
+    assert list(inspect.signature(generator_rank_report).parameters) == ["n"]
+    assert generator_rank(8) == (50, 50)
+    assert main(["magic-rank", "--n", "8", "--json"]) == 2
+    assert "--max-n 7" in capsys.readouterr().err
 
 
 def test_generator_ranks_small():
@@ -112,6 +118,8 @@ def restricted_slices(n):
 
 
 def test_sparse_evaluation_and_restriction_match_dense_oracle(monkeypatch):
+    # the oracle's sparse builders against dense rows, and the one matrix the
+    # report factors: distinct rows of the restricted n! matrix, square
     seen = []
 
     def spy(a):
@@ -122,8 +130,50 @@ def test_sparse_evaluation_and_restriction_match_dense_oracle(monkeypatch):
     for n in range(1, 7):
         rows = dense_evaluation_matrix(n)
         assert evaluation_matrix(n).to_lists() == rows
+        restricted_rows = [[x for run in restricted_slices(n) for x in row[run]] for row in rows]
+        assert restricted(evaluation_matrix(n), n).to_lists() == restricted_rows
         generator_rank_report(n)
-        full, restricted = seen[-2:]
-        assert full.to_lists() == rows
-        assert restricted.to_lists() == [[x for run in restricted_slices(n) for x in row[run]] for row in rows]
-        assert (restricted.rows, restricted.cols) == (math.factorial(n), 1 + (n - 1) ** 2)
+        (minor,) = seen
+        seen.clear()
+        r = 1 + (n - 1) ** 2
+        assert (minor.rows, minor.cols) == (r, r)
+        minor_rows = minor.to_lists()
+        assert len(set(map(tuple, minor_rows))) == r
+        assert all(row in restricted_rows for row in minor_rows)
+
+
+def test_minor_report_matches_factorial_oracle():
+    for n in range(1, 8):
+        assert generator_rank_report(n) == factorial_rank_report(n), n
+        assert factorial_rank_report(n).full_rank == (n - 1) ** 2 + 1
+
+
+def test_report_factors_one_square_minor(monkeypatch):
+    # a cost guard: one invariant_factors call on an r x r matrix,
+    # r = (n - 1)^2 + 1, instead of two on n! rows
+    shapes = []
+
+    def spy(a):
+        shapes.append((a.rows, a.cols))
+        return invariant_factors(a)
+
+    monkeypatch.setattr(magic, "invariant_factors", spy)
+    for n in range(1, 21):
+        report = generator_rank_report(n)
+        r = (n - 1) ** 2 + 1
+        assert shapes == [(r, r)], n
+        shapes.clear()
+        assert report.full_rank == report.restricted_rank == report.expected_rank == r
+        assert report.full_saturated and report.restricted_saturated
+
+
+def test_non_unimodular_minor_is_refused(monkeypatch):
+    minor = magic._minor
+
+    def doubled(n):  # determinant ±2
+        rows = minor(n).to_lists()
+        return IntMatrix.from_rows([[2 * x for x in rows[0]]] + rows[1:])
+
+    monkeypatch.setattr(magic, "_minor", doubled)
+    with pytest.raises(CertificateError, match="not unimodular: invariant factors .*2\\]"):
+        generator_rank_report(4)

@@ -162,7 +162,7 @@ def test_composite_is_zero():
 
 def test_evaluation_respects_t_action():
     d1, ev = build_complex(DimVector.of(2, 3), TEST_ALGEBRA)
-    t = ev.t_matrix()
+    t = IntMatrix.from_rows(ev.t_action)
     # degree-raising by one twists the image by the action matrix
     parities = _row_parities(d1)
     for slot in range(len(ev.slot_images)):
